@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from conftest import emit
-from repro.obs import PerfRecorder
+from repro.obs import PerfRecorder, instrumented
 from repro.reporting import format_table
 from repro.sim import Simulator
 
@@ -115,7 +115,8 @@ def test_des_throughput_baseline(benchmark):
 
     # One accounted pass attributes the same mix by event type.
     recorder = PerfRecorder()
-    _one_run(lambda: Simulator(perf=recorder))
+    with instrumented(perf=recorder):
+        _one_run(Simulator)
     accounting = recorder.kernel.to_dict()
     assert accounting["total_events"] == EVENTS
     assert set(accounting["events"]) == {

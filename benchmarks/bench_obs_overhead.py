@@ -1,11 +1,12 @@
-"""Observability overhead — the disabled-mode guard.
+"""Observability overhead — the one disabled-mode guard.
 
-``repro.obs`` promises that instrumentation is pay-for-use: when no
-registry is active, every recording site in the DES kernel reduces to a
-single ``is not None`` check.  This bench measures that promise on the
-kernel's hottest loop and turns it into a regression guard.
+``repro.obs`` promises that instrumentation is pay-for-use: with no
+ambient scope active, the DES kernel binds its unobserved step and
+neither metrics nor perf accounting costs anything per event.  This
+bench measures that promise on the kernel's hottest loop and turns it
+into the repository's single disabled-kernel regression guard.
 
-Three variants drain an identical self-rescheduling event chain:
+Four variants drain an identical self-rescheduling event chain:
 
 * **bare** — a local replica of the kernel's pre-instrumentation hot
   loop (heap pop, clock advance, action call, cancellation check), the
@@ -13,15 +14,19 @@ Three variants drain an identical self-rescheduling event chain:
 * **disabled** — the real :class:`repro.sim.Simulator` with no ambient
   instrumentation (the default for every user who never asks for
   metrics);
-* **enabled** — the real kernel with an active registry recording the
-  event counter, queue-depth gauge/histogram, and per-event-type
-  timing histogram.
+* **enabled** — the real kernel under an ambient registry recording
+  the event counter, queue-depth gauge/histogram, and per-event-type
+  timing histogram;
+* **profiled** — the real kernel under an ambient
+  :class:`~repro.obs.PerfRecorder` accounting per-event-type self-time
+  and ticking the counter profiler.
 
 Timings are best-of-``REPEATS`` to shave scheduler noise.  The
 disabled-vs-bare overhead is asserted ``<= 3%`` only when
 ``REPRO_OBS_GUARD`` is set (the CI overhead job sets it; interactive
-runs on noisy machines just report).  Enabled-mode cost is reported,
-never asserted — it is the price of asking for data, not a regression.
+runs on noisy machines just report).  Enabled- and profiled-mode
+costs are reported, never asserted — they are the price of asking for
+data, not a regression.
 
 Results land in ``benchmarks/artifacts/BENCH_obs.json``; the committed
 ``benchmarks/BENCH_obs.json`` records what a CI runner measured.
@@ -37,7 +42,7 @@ from pathlib import Path
 from conftest import emit
 from repro._validation import check_non_negative
 from repro.errors import SimulationError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, PerfRecorder, instrumented
 from repro.obs.regression import time_variants
 from repro.reporting import format_table
 from repro.sim import Simulator
@@ -129,13 +134,25 @@ def _one_run(make_sim):
 
 def test_disabled_mode_overhead_within_budget(benchmark):
     registry = MetricsRegistry()
+
+    def enabled_sim():
+        with instrumented(metrics=registry):
+            return Simulator()
+
+    def profiled_sim():
+        # A fresh recorder per run keeps sample dictionaries small and
+        # runs comparable.
+        with instrumented(perf=PerfRecorder(kernel_interval=1000)):
+            return Simulator()
+
     # The guarded statistic is repro.obs.regression.paired_ratio_overhead
     # computed by time_variants over interleaved rounds — see that module
     # for why interleaving and min-per-round-ratio beat best-of blocks.
     variants = [
         ("bare", lambda: _one_run(BareKernel)),
         ("disabled", lambda: _one_run(Simulator)),
-        ("enabled", lambda: _one_run(lambda: Simulator(metrics=registry))),
+        ("enabled", lambda: _one_run(enabled_sim)),
+        ("profiled", lambda: _one_run(profiled_sim)),
     ]
     timing = benchmark.pedantic(
         lambda: time_variants(variants, repeats=REPEATS),
@@ -145,6 +162,7 @@ def test_disabled_mode_overhead_within_budget(benchmark):
     bare = timing.best["bare"]
     disabled = timing.best["disabled"]
     enabled = timing.best["enabled"]
+    profiled = timing.best["profiled"]
     # The enabled runs actually recorded: every event counted and every
     # queue depth sampled (warmup rounds included, hence >=).
     assert registry.value("sim_events") >= EVENTS * REPEATS
@@ -153,6 +171,7 @@ def test_disabled_mode_overhead_within_budget(benchmark):
 
     disabled_overhead = timing.overhead["disabled"]
     enabled_overhead = timing.overhead["enabled"]
+    profiled_overhead = timing.overhead["profiled"]
 
     record = {
         "benchmark": "obs-overhead-des-kernel",
@@ -162,17 +181,20 @@ def test_disabled_mode_overhead_within_budget(benchmark):
             "bare": round(bare, 6),
             "disabled": round(disabled, 6),
             "enabled": round(enabled, 6),
+            "profiled": round(profiled, 6),
         },
         # Guarded: minimum paired per-round ratio minus one (noise-robust
         # lower bound; can dip negative when a bare round was unlucky).
         "disabled_overhead": round(disabled_overhead, 4),
         "enabled_overhead": round(enabled_overhead, 4),
+        "profiled_overhead": round(profiled_overhead, 4),
         # Informational: ratio of the best-of-REPEATS absolute times.
         "disabled_overhead_of_best": round(disabled / bare - 1.0, 4),
         "enabled_overhead_of_best": round(enabled / bare - 1.0, 4),
+        "profiled_overhead_of_best": round(profiled / bare - 1.0, 4),
         "guard_threshold": GUARD_THRESHOLD,
-        # Only the disabled-mode statistic is asserted; enabled-mode
-        # cost is the price of asking for data, not a regression.
+        # Only the disabled-mode statistic is asserted; enabled- and
+        # profiled-mode cost is the price of asking for data.
         "guarded": ["disabled_overhead"],
         "guard_enforced": bool(os.environ.get("REPRO_OBS_GUARD")),
     }
@@ -188,6 +210,8 @@ def test_disabled_mode_overhead_within_budget(benchmark):
          f"{disabled / bare - 1.0:+.1%}"],
         ["enabled", f"{enabled * 1e6 / EVENTS:.3f}",
          f"{enabled / bare - 1.0:+.1%}"],
+        ["profiled", f"{profiled * 1e6 / EVENTS:.3f}",
+         f"{profiled / bare - 1.0:+.1%}"],
     ]
     emit(format_table(
         ["mode", "us/event", "overhead of best"],

@@ -48,13 +48,14 @@ Package map
     including Monte-Carlo sampling of the Bayesian-network models.
 ``repro.runtime``
     Fault-tolerant execution substrate: budgets/deadlines, cooperative
-    cancellation, crash-consistent run journals, heartbeats, and
-    journaled solver escalation.
+    cancellation, crash-consistent run journals, and heartbeats.
 ``repro.obs``
     Observability: metrics registry with OpenMetrics exposition and
     order-invariant merging, span tracing in Chrome trace-event format
-    with cross-process propagation, and a profiling harness — near-zero
-    overhead when disabled.
+    with cross-process propagation, and performance attribution with
+    a counter-triggered profiler — all reached through one ambient,
+    per-context instrumentation scope, near-zero overhead when
+    disabled.
 ``repro.reporting``
     Downtime conversions and table formatting for the benches.
 """

@@ -1215,8 +1215,13 @@ def _cmd_chaos(args) -> int:
     )
     from .engine import EvaluationEngine, TaskRetryPolicy
     from .errors import ValidationError
-    from .obs import MetricsRegistry
-    from .obs.context import active_metrics
+    from .obs import (
+        MetricsRegistry,
+        active_metrics,
+        active_perf,
+        active_tracer,
+        instrumented,
+    )
     from .runtime import read_journal
 
     _check_workers(args.workers)
@@ -1237,9 +1242,12 @@ def _cmd_chaos(args) -> int:
         registry = MetricsRegistry()
 
     def engine_for(**extra):
-        return EvaluationEngine(
-            workers=args.workers, metrics=registry, **extra
-        )
+        # The engine reads its instrumentation at construction; the
+        # scope swaps in the evidence registry and keeps the rest.
+        with instrumented(
+            metrics=registry, tracer=active_tracer(), perf=active_perf()
+        ):
+            return EvaluationEngine(workers=args.workers, **extra)
 
     n_tasks = len(SWEEP_FAILURE_RATES) * args.servers_max
     reference = _sweep_series_text(args, _sweep_grid(args, engine=None))

@@ -85,9 +85,7 @@ from .tasks import TaskGraph
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..chaos.plan import ChaosPlan
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.perf import BatchPerf, PerfRecorder
-    from ..obs.tracing import Tracer
+    from ..obs.perf import BatchPerf
 
 __all__ = ["EvaluationEngine", "BatchResult", "GraphResult"]
 
@@ -317,31 +315,24 @@ class EvaluationEngine:
     max_respawns:
         Worker-pool generations the supervisor may spawn to replace dead
         workers before declaring the batch failed.
-    metrics / tracer:
-        Optional :class:`~repro.obs.MetricsRegistry` /
-        :class:`~repro.obs.Tracer`; each defaults to the ambient one
-        (:func:`repro.obs.active_metrics` / :func:`repro.obs.active_tracer`).
-        When present, the engine records per-phase task counts and
-        latency histograms, re-exposes the memo cache's per-run
-        hit/miss/eviction deltas as counters, and wraps every batch and
-        task in spans — worker-process spans reattach under the
-        submitting task's span, and worker registries merge back by
-        name.  Instrumentation never changes outputs: parallel
-        instrumented runs stay bit-identical to serial uninstrumented
-        ones.  Exported traces keep each worker's pid on its spans,
-        which is what ``repro trace-report`` aggregates into the
-        per-worker utilization table
-        (:meth:`repro.obs.analysis.TraceAnalysis.worker_utilization`).
-    perf:
-        Optional :class:`~repro.obs.PerfRecorder`; defaults to the
-        ambient one (:func:`repro.obs.active_perf`).  When present,
-        every batch builds an :class:`~repro.obs.AttributionReport`
-        decomposing ``workers x elapsed`` capacity into compute,
-        serialization, IPC, idle, and cache time — worker execute
-        windows, parent-side pickle/cache timing, and queue-depth
-        samples — and worker-side kernel accounting and profiler
-        samples merge back like metrics do.  Like the other
-        instrumentation, it never changes outputs.
+
+    Instrumentation comes from the ambient scope
+    (:func:`repro.obs.instrumented`), read once at construction.  An
+    ambient :class:`~repro.obs.MetricsRegistry` / :class:`~repro.obs.Tracer`
+    gets per-phase task counts and latency histograms, the memo cache's
+    per-run hit/miss/eviction deltas as counters, and spans around every
+    batch and task — worker-process spans reattach under the submitting
+    task's span, and worker registries merge back by name.  Exported
+    traces keep each worker's pid on its spans, which is what
+    ``repro trace-report`` aggregates into the per-worker utilization
+    table (:meth:`repro.obs.analysis.TraceAnalysis.worker_utilization`).
+    An ambient :class:`~repro.obs.PerfRecorder` gets an
+    :class:`~repro.obs.AttributionReport` per batch decomposing
+    ``workers x elapsed`` capacity into compute, serialization, IPC,
+    idle, and cache time, and worker-side kernel accounting and
+    profiler samples merge back like metrics do.  Instrumentation never
+    changes outputs: parallel instrumented runs stay bit-identical to
+    serial uninstrumented ones.
 
     Examples
     --------
@@ -360,12 +351,9 @@ class EvaluationEngine:
         cache_size: int = 4096,
         cancellation: Optional[CancellationToken] = None,
         heartbeat: Optional[HeartbeatCallback] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-        tracer: Optional["Tracer"] = None,
         retry: Optional[TaskRetryPolicy] = None,
         chaos: Optional["ChaosPlan"] = None,
         max_respawns: int = 3,
-        perf: Optional["PerfRecorder"] = None,
     ):
         self.workers = check_positive_int(workers, "workers")
         self.retry = retry
@@ -382,9 +370,9 @@ class EvaluationEngine:
         )
         self.cancellation = cancellation
         self.heartbeat = heartbeat
-        self._metrics = metrics if metrics is not None else active_metrics()
-        self._tracer = tracer if tracer is not None else active_tracer()
-        self._perf = perf if perf is not None else active_perf()
+        self._metrics = active_metrics()
+        self._tracer = active_tracer()
+        self._perf = active_perf()
 
     # ------------------------------------------------------------------
     def _check(self) -> None:

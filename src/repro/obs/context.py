@@ -9,21 +9,27 @@ the default — the entire subsystem reduces to that one pointer check,
 which is what keeps disabled-mode overhead inside the benchmark-guarded
 3% budget (``benchmarks/bench_obs_overhead.py``).
 
-Activation is process-global and explicitly scoped:
+Activation is scoped per execution context — one
+:class:`contextvars.ContextVar` — and is the only way instrumentation
+reaches the code:
 
 >>> from repro.obs import MetricsRegistry, instrumented
 >>> registry = MetricsRegistry()
 >>> with instrumented(metrics=registry):
 ...     pass  # everything constructed here records into `registry`
 
-The evaluation engine re-creates an equivalent ambient scope inside
-each worker process, so instrumented code deep inside a task records
-into a worker-local registry that is merged back by name.
+A thread started with :class:`threading.Thread` begins with no scope;
+:func:`asyncio.to_thread` and asyncio tasks copy the caller's, so each
+server job runs under its own scope.  The evaluation engine re-creates
+an equivalent scope inside each worker process, so instrumented code
+deep inside a task records into a worker-local registry that is merged
+back by name.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -53,39 +59,42 @@ class Instrumentation:
     perf: Optional["PerfRecorder"] = None
 
 
-_ACTIVE: Optional[Instrumentation] = None
+_ACTIVE: ContextVar[Optional[Instrumentation]] = ContextVar(
+    "repro_instrumentation", default=None
+)
 
 
 def activate(instrumentation: Instrumentation) -> None:
-    """Make *instrumentation* the process-wide ambient bundle."""
-    global _ACTIVE
-    _ACTIVE = instrumentation
+    """Make *instrumentation* the ambient bundle of the current context."""
+    _ACTIVE.set(instrumentation)
 
 
 def deactivate() -> None:
-    """Return to the no-op default."""
-    global _ACTIVE
-    _ACTIVE = None
+    """Return the current context to the no-op default."""
+    _ACTIVE.set(None)
 
 
 def active() -> Optional[Instrumentation]:
     """The ambient bundle, or None when instrumentation is disabled."""
-    return _ACTIVE
+    return _ACTIVE.get()
 
 
 def active_metrics() -> Optional["MetricsRegistry"]:
     """The ambient registry, or None."""
-    return _ACTIVE.metrics if _ACTIVE is not None else None
+    bundle = _ACTIVE.get()
+    return bundle.metrics if bundle is not None else None
 
 
 def active_tracer() -> Optional["Tracer"]:
     """The ambient tracer, or None."""
-    return _ACTIVE.tracer if _ACTIVE is not None else None
+    bundle = _ACTIVE.get()
+    return bundle.tracer if bundle is not None else None
 
 
 def active_perf() -> Optional["PerfRecorder"]:
     """The ambient performance recorder, or None."""
-    return _ACTIVE.perf if _ACTIVE is not None else None
+    bundle = _ACTIVE.get()
+    return bundle.perf if bundle is not None else None
 
 
 @contextmanager
@@ -99,11 +108,9 @@ def instrumented(
     The previous bundle (usually None) is restored on exit, even on
     error, so scopes nest correctly.
     """
-    global _ACTIVE
-    previous = _ACTIVE
     bundle = Instrumentation(metrics=metrics, tracer=tracer, perf=perf)
-    _ACTIVE = bundle
+    token = _ACTIVE.set(bundle)
     try:
         yield bundle
     finally:
-        _ACTIVE = previous
+        _ACTIVE.reset(token)

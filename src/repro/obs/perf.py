@@ -4,9 +4,9 @@ The metrics layer can say *how many* events and tasks ran; this module
 says *where the time went*, in three coordinated pieces:
 
 * :class:`KernelAccounting` — per-event-type counts and self-time,
-  recorded by the DES kernel's construction-bound profiled step so a
-  disabled kernel pays nothing (same zero-overhead idiom as the
-  metrics binding, guarded by ``benchmarks/bench_perf_attribution.py``);
+  recorded by the DES kernel's construction-bound observed step so a
+  disabled kernel pays nothing (guarded by
+  ``benchmarks/bench_obs_overhead.py``);
 * :class:`BatchPerf` / :class:`AttributionReport` — the evaluation
   engine's per-batch timeline: worker execute windows, parent-side
   serialization and cache timing, queue-depth samples, rolled into an
@@ -23,9 +23,9 @@ says *where the time went*, in three coordinated pieces:
   speedscope-JSON export, both stdlib-only).
 
 Everything hangs off a :class:`PerfRecorder`, activated ambiently via
-:func:`repro.obs.instrumented` (``perf=``) or passed explicitly to the
-kernel/engine; ``repro profile <cmd>`` and ``--profile DIR`` wire it up
-from the CLI, and ``repro.server`` attaches per-job profile documents.
+:func:`repro.obs.instrumented` (``perf=``); ``repro profile <cmd>`` and
+``--profile DIR`` wire it up from the CLI, and ``repro.server`` attaches
+per-job profile documents.
 """
 
 from __future__ import annotations
@@ -520,8 +520,9 @@ class PerfRecorder:
 
     Holds the kernel accounting, the deterministic profiler, and every
     batch :class:`AttributionReport` produced while it was active.
-    Activate ambiently (``instrumented(perf=recorder)``) or pass to
-    :class:`~repro.sim.Simulator` / the evaluation engine explicitly.
+    Activate ambiently (``instrumented(perf=recorder)``); the
+    :class:`~repro.sim.Simulator` and the evaluation engine read it at
+    construction.
     """
 
     def __init__(

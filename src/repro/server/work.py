@@ -18,11 +18,16 @@ library's canonical workloads from :mod:`repro.workloads`:
     service times, used to exercise the admission controller's
     M/M/c/K self-model under saturation.
 
-The engine-backed kinds (``sweep``/``policies``/``cloud``) accept an
-optional ``"profile": true`` spec key: the job runs under an explicit
-:class:`~repro.obs.PerfRecorder` and the result carries a ``profile``
-document (attribution report, kernel accounting, collapsed/speedscope
-flamegraph) served at ``GET /v1/jobs/<id>/profile``.
+Every job runs inside one ambient instrumentation scope
+(:func:`repro.obs.instrumented`) holding the job's metrics registry,
+so the engine and the library layers under it (CTMC solvers, campaigns,
+Bayesian inference) record into it exactly as they do under the CLI's
+``--metrics``.  The engine-backed kinds (``sweep``/``policies``/
+``cloud``) accept an optional ``"profile": true`` spec key: the scope
+then also holds a job-local :class:`~repro.obs.PerfRecorder` and the
+result carries a ``profile`` document (attribution report, kernel
+accounting, collapsed/speedscope flamegraph) served at
+``GET /v1/jobs/<id>/profile``.
 
 Specs are validated eagerly at submission time through the repo's
 :mod:`repro._validation` helpers — a bad spec is a 400 before the job
@@ -215,33 +220,27 @@ def parse_spec(kind: str, spec: dict) -> dict:
     return parser(spec)
 
 
-def _engine(spec: dict, token, progress, metrics, perf=None):
+def _engine(spec: dict, token, progress):
     from ..engine import EvaluationEngine
 
     return EvaluationEngine(
-        workers=spec["workers"],
-        cancellation=token,
-        heartbeat=progress,
-        metrics=metrics,
-        perf=perf,
+        workers=spec["workers"], cancellation=token, heartbeat=progress
     )
 
 
-def _job_recorder(spec: dict):
-    """A :class:`~repro.obs.PerfRecorder` when the spec asks for one.
+def _job_scope(metrics, recorder):
+    """The job's instrumentation scope.
 
-    Server jobs run on concurrent worker threads, so the recorder is
-    passed to the engine *explicitly* — the ambient activation used by
-    the CLI is process-global and would mix concurrent jobs' timelines.
-    A serial job therefore gets engine attribution but no in-process
-    kernel accounting (pool workers still activate the recorder
-    ambiently inside their own process and ship accounting back).
+    Holds the job's registry and, for a profiled job, its recorder; a
+    field the job does not set keeps the enclosing value.
     """
-    if not spec.get("profile"):
-        return None
-    from ..obs import PerfRecorder
+    from ..obs import active_metrics, active_perf, active_tracer, instrumented
 
-    return PerfRecorder()
+    return instrumented(
+        metrics=metrics if metrics is not None else active_metrics(),
+        tracer=active_tracer(),
+        perf=recorder if recorder is not None else active_perf(),
+    )
 
 
 def _profile_document(recorder) -> dict:
@@ -276,18 +275,30 @@ def execute_job(
     """
     if kind == "probe":
         return _execute_probe(spec, token)
+    recorder = None
+    if spec.get("profile"):
+        from ..obs import PerfRecorder
+
+        recorder = PerfRecorder()
+    with _job_scope(metrics, recorder):
+        result = _execute(kind, spec, token, progress)
+    if recorder is not None:
+        result["profile"] = _profile_document(recorder)
+    return result
+
+
+def _execute(kind: str, spec: dict, token, progress) -> dict:
     if kind == "sweep":
-        recorder = _job_recorder(spec)
         grid = workloads.run_fig_sweep(
             spec["figure"],
             spec["arrival_rate"],
             spec["servers_max"],
-            engine=_engine(spec, token, progress, metrics, perf=recorder),
+            engine=_engine(spec, token, progress),
         )
         text = workloads.fig_sweep_text(
             spec["figure"], spec["arrival_rate"], spec["servers_max"], grid
         )
-        result = {
+        return {
             "text": text,
             "series": {
                 f"{lam:g}": list(grid.row(lam).outputs)
@@ -295,20 +306,16 @@ def execute_job(
             },
             "cells": len(workloads.SWEEP_FAILURE_RATES) * spec["servers_max"],
         }
-        if recorder is not None:
-            result["profile"] = _profile_document(recorder)
-        return result
     if kind == "policies":
-        recorder = _job_recorder(spec)
         report = workloads.run_policy_comparison(
             arrival_rate=spec["arrival_rate"],
             service_rate=spec["service_rate"],
             servers=spec["servers"],
             buffer=spec["buffer"],
-            engine=_engine(spec, token, progress, metrics, perf=recorder),
+            engine=_engine(spec, token, progress),
         )
         best = report.best
-        result = {
+        return {
             "text": workloads.policy_comparison_text(report),
             "best": {
                 "policy": best.policy,
@@ -318,19 +325,15 @@ def execute_job(
             },
             "cells": len(report.cells),
         }
-        if recorder is not None:
-            result["profile"] = _profile_document(recorder)
-        return result
     if kind == "cloud":
-        recorder = _job_recorder(spec)
         report = workloads.run_cloud_comparison(
             arrival_rate=spec["arrival_rate"],
             service_rate=spec["service_rate"],
             zone_availability=spec["zone_availability"],
-            engine=_engine(spec, token, progress, metrics, perf=recorder),
+            engine=_engine(spec, token, progress),
         )
         best = report.best
-        result = {
+        return {
             "text": workloads.cloud_comparison_text(
                 report, spec["arrival_rate"], spec["zone_availability"]
             ),
@@ -342,9 +345,6 @@ def execute_job(
             "ranking": [cell.scenario for cell in report.ranking],
             "cells": len(report.cells),
         }
-        if recorder is not None:
-            result["profile"] = _profile_document(recorder)
-        return result
     if kind == "campaign":
         results = workloads.run_fault_campaigns(
             spec["scenario"],

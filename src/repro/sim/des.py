@@ -27,8 +27,7 @@ from ..obs.clock import monotonic
 from ..obs.context import active_metrics, active_perf
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..obs.metrics import Histogram, MetricsRegistry
-    from ..obs.perf import PerfRecorder
+    from ..obs.metrics import Histogram
     from ..runtime.budget import CancellationToken
 
 __all__ = ["Simulator"]
@@ -53,19 +52,15 @@ class Simulator:
         Optional :class:`~repro.runtime.CancellationToken` polled after
         every executed event; lets a deadline or caller cancel a long
         run at a clean event boundary.
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`; defaults to the
-        ambient one (:func:`repro.obs.active_metrics`).  When present,
-        the kernel records events processed, queue depths, and
-        per-event-type execution-time histograms.  When absent — the
-        default — every recording site is a single ``is not None``
-        check, so the uninstrumented kernel stays at its original speed.
-    perf:
-        Optional :class:`~repro.obs.PerfRecorder`; defaults to the
-        ambient one (:func:`repro.obs.active_perf`).  When present, the
-        kernel accounts per-event-type counts and self-time and ticks
-        the deterministic counter profiler — bound at construction like
-        the metrics step, so disabled runs pay nothing.
+
+    Instrumentation comes from the ambient scope
+    (:func:`repro.obs.instrumented`), read once at construction.  An
+    ambient :class:`~repro.obs.MetricsRegistry` gets events processed,
+    queue depths, and per-event-type execution-time histograms; an
+    ambient :class:`~repro.obs.PerfRecorder` gets per-event-type counts
+    and self-time plus deterministic counter-profiler ticks.  With
+    neither — the default — the kernel binds its original, unobserved
+    step, so disabled runs pay nothing per event.
 
     Examples
     --------
@@ -90,19 +85,16 @@ class Simulator:
     repro.errors.SimulationError: run() executed max_events=10 events without draining the queue (1 still pending at sim-time 10); an event may be rescheduling itself forever
     """
 
-    def __init__(
-        self,
-        cancellation: Optional["CancellationToken"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-        perf: Optional["PerfRecorder"] = None,
-    ):
+    def __init__(self, cancellation: Optional["CancellationToken"] = None):
         self._now = 0.0
         self._sequence = itertools.count()
         self._queue: List[Tuple[float, int, Action]] = []
         self._events_processed = 0
         self._cancellation = cancellation
-        self._metrics = metrics if metrics is not None else active_metrics()
-        self._perf = perf if perf is not None else active_perf()
+        self._metrics = active_metrics()
+        perf = active_perf()
+        self._accounting = perf.kernel if perf is not None else None
+        self._profiler = perf.profiler if perf is not None else None
         if self._metrics is not None:
             from ..obs.metrics import DEFAULT_DEPTH_BOUNDS
 
@@ -122,18 +114,13 @@ class Simulator:
             self._action_histograms: dict = {}
         # Bound once at construction — the disabled kernel never pays a
         # per-event check for either metrics or perf accounting.
-        if self._perf is not None:
-            self._accounting = self._perf.kernel
-            self._profiler = self._perf.profiler
-            self._step = self._step_profiled
-        elif self._metrics is not None:
-            self._step = self._step_instrumented
-        else:
+        if self._metrics is None and perf is None:
             self._step = self._step_fast
+        else:
+            self._step = self._step_observed
 
-    def _action_histogram(self, action: Action) -> "Histogram":
+    def _action_histogram(self, name: str) -> "Histogram":
         """Per-event-type execution-time histogram, cached by type name."""
-        name = _action_name(action)
         histogram = self._action_histograms.get(name)
         if histogram is None:
             histogram = self._metrics.histogram(
@@ -189,31 +176,15 @@ class Simulator:
             self._cancellation.count_event()
         return True
 
-    def _step_instrumented(self) -> bool:
-        if not self._queue:
-            return False
-        depth = len(self._queue)
-        self._events_counter.inc()
-        self._depth_gauge.set_max(depth)
-        self._depth_histogram.observe(depth)
-        time, _, action = heapq.heappop(self._queue)
-        self._now = time
-        self._events_processed += 1
-        started = monotonic()
-        action()
-        self._action_histogram(action).observe(monotonic() - started)
-        if self._cancellation is not None:
-            self._cancellation.count_event()
-        return True
-
-    def _step_profiled(self) -> bool:
-        # The perf-accounting step: per-event-type self-time into the
-        # recorder's KernelAccounting, a deterministic profiler tick,
-        # and (when metrics are *also* active) everything the
-        # instrumented step records.
+    def _step_observed(self) -> bool:
+        # The observed step: the metrics sink (event counter, queue
+        # depths, per-event-type timing histogram) and the perf sink
+        # (per-event-type self-time, a deterministic profiler tick) are
+        # each optional; at least one is present.
         if not self._queue:
             return False
         metrics = self._metrics
+        accounting = self._accounting
         if metrics is not None:
             depth = len(self._queue)
             self._events_counter.inc()
@@ -223,13 +194,15 @@ class Simulator:
         self._now = time
         self._events_processed += 1
         name = _action_name(action)
-        self._profiler.tick_kernel(leaf=f"event:{name}")
+        if accounting is not None:
+            self._profiler.tick_kernel(leaf=f"event:{name}")
         started = monotonic()
         action()
         elapsed = monotonic() - started
-        self._accounting.record(name, elapsed)
+        if accounting is not None:
+            accounting.record(name, elapsed)
         if metrics is not None:
-            self._action_histogram(action).observe(elapsed)
+            self._action_histogram(name).observe(elapsed)
         if self._cancellation is not None:
             self._cancellation.count_event()
         return True

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.engine import EvaluationEngine, TaskGraph
-from repro.obs import PerfRecorder
+from repro.obs import PerfRecorder, instrumented
 
 
 def _cube(x):
@@ -34,7 +34,8 @@ def _des_burst(n):
 
 
 def _graph(recorder=None, workers=1):
-    engine = EvaluationEngine(workers=workers, perf=recorder)
+    with instrumented(perf=recorder):
+        engine = EvaluationEngine(workers=workers)
     graph = TaskGraph()
     graph.add("a", _cube, args=(2.0,))
     graph.add("b", _cube, args=(3.0,))
@@ -45,7 +46,8 @@ def _graph(recorder=None, workers=1):
 class TestSerialAttribution:
     def test_map_produces_one_report(self):
         recorder = PerfRecorder()
-        engine = EvaluationEngine(perf=recorder)
+        with instrumented(perf=recorder):
+            engine = EvaluationEngine()
         batch = engine.map(_cube, [1.0, 2.0, 3.0], phase="unit-map")
         assert list(batch.outputs) == [1.0, 8.0, 27.0]
         (report,) = recorder.batches
@@ -59,9 +61,9 @@ class TestSerialAttribution:
     def test_outputs_identical_with_and_without_perf(self):
         items = [1.0, 2.0, 3.0, 4.0]
         plain = list(EvaluationEngine().map(_cube, items).outputs)
-        profiled = list(EvaluationEngine(perf=PerfRecorder()).map(
-            _cube, items
-        ).outputs)
+        with instrumented(perf=PerfRecorder()):
+            engine = EvaluationEngine()
+        profiled = list(engine.map(_cube, items).outputs)
         assert profiled == plain
 
     def test_graph_produces_report(self):
@@ -83,7 +85,9 @@ class TestSerialAttribution:
 
     def test_task_profiler_ticks(self):
         recorder = PerfRecorder(task_interval=1)
-        EvaluationEngine(perf=recorder).map(_cube, [1.0, 2.0], phase="p")
+        with instrumented(perf=recorder):
+            engine = EvaluationEngine()
+        engine.map(_cube, [1.0, 2.0], phase="p")
         assert recorder.profiler.task_ticks == 2
         leaves = {stack[-1] for stack in recorder.profiler.samples}
         assert "task:p" in leaves
@@ -92,7 +96,8 @@ class TestSerialAttribution:
 class TestParallelAttribution:
     def test_workers2_coverage_and_buckets(self):
         recorder = PerfRecorder()
-        engine = EvaluationEngine(workers=2, perf=recorder)
+        with instrumented(perf=recorder):
+            engine = EvaluationEngine(workers=2)
         items = list(range(1, 13))
         batch = engine.map(_des_burst, items, phase="parallel-des")
         assert list(batch.outputs) == items
@@ -110,7 +115,8 @@ class TestParallelAttribution:
 
     def test_worker_kernel_accounting_merges_back(self):
         recorder = PerfRecorder()
-        engine = EvaluationEngine(workers=2, perf=recorder)
+        with instrumented(perf=recorder):
+            engine = EvaluationEngine(workers=2)
         engine.map(_des_burst, [50, 60], phase="kernels")
         # 110 DES events ran inside pool workers; their accounting came
         # back through the perf record protocol.
@@ -122,14 +128,15 @@ class TestParallelAttribution:
         plain = list(
             EvaluationEngine(workers=2).map(_des_burst, items).outputs
         )
-        profiled = list(EvaluationEngine(
-            workers=2, perf=PerfRecorder()
-        ).map(_des_burst, items).outputs)
+        with instrumented(perf=PerfRecorder()):
+            engine = EvaluationEngine(workers=2)
+        profiled = list(engine.map(_des_burst, items).outputs)
         assert profiled == plain == items
 
     def test_serialization_bytes_counted(self):
         recorder = PerfRecorder()
-        engine = EvaluationEngine(workers=2, perf=recorder)
+        with instrumented(perf=recorder):
+            engine = EvaluationEngine(workers=2)
         engine.map(_cube, [1.0, 2.0], phase="ser")
         (report,) = recorder.batches
         assert report.serialized_bytes > 0
@@ -141,10 +148,11 @@ class TestCacheAttribution:
         recorder = PerfRecorder()
         items = [1.0, 2.0, 3.0]
         keys = [f"k-{x}" for x in items]
-        engine = EvaluationEngine(cache_dir=tmp_path, perf=recorder)
-        engine.map(_cube, items, keys=keys)
-        warm = EvaluationEngine(cache_dir=tmp_path, perf=recorder)
-        warm.map(_cube, items, keys=keys)
+        with instrumented(perf=recorder):
+            engine = EvaluationEngine(cache_dir=tmp_path)
+            engine.map(_cube, items, keys=keys)
+            warm = EvaluationEngine(cache_dir=tmp_path)
+            warm.map(_cube, items, keys=keys)
         cold, hot = recorder.batches
         assert cold.cache_measured >= 0.0
         assert hot.cache_measured > 0.0  # lookups were timed

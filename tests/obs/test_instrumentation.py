@@ -7,6 +7,8 @@ bit-identical with and without ``--metrics``/``--trace``; the registry
 and trace are a pure side channel.
 """
 
+import asyncio
+import threading
 from math import sqrt
 
 import numpy as np
@@ -41,10 +43,74 @@ class TestAmbientContext:
             assert active_metrics() is registry
         assert active_metrics() is None
 
+    def test_nested_scopes_restore_on_error(self):
+        outer = MetricsRegistry()
+        with instrumented(metrics=outer):
+            with pytest.raises(RuntimeError):
+                with instrumented(metrics=MetricsRegistry()):
+                    raise RuntimeError("boom")
+            assert active_metrics() is outer
+        assert active_metrics() is None
+
+    def test_scope_invisible_to_concurrent_thread(self):
+        registry = MetricsRegistry()
+        opened = threading.Event()
+        release = threading.Event()
+        seen = {}
+
+        def holder():
+            with instrumented(metrics=registry):
+                seen["holder"] = active_metrics()
+                opened.set()
+                release.wait(timeout=10.0)
+
+        def observer():
+            opened.wait(timeout=10.0)
+            seen["observer"] = active_metrics()
+
+        threads = [threading.Thread(target=holder),
+                   threading.Thread(target=observer)]
+        for thread in threads:
+            thread.start()
+        threads[1].join(timeout=10.0)
+        seen["main"] = active_metrics()
+        release.set()
+        threads[0].join(timeout=10.0)
+        assert seen == {
+            "holder": registry, "observer": None, "main": None,
+        }
+
+    def test_thread_started_inside_scope_begins_empty(self):
+        seen = []
+        with instrumented(metrics=MetricsRegistry()):
+            thread = threading.Thread(
+                target=lambda: seen.append(active_metrics())
+            )
+            thread.start()
+            thread.join(timeout=10.0)
+        assert seen == [None]
+
+    def test_to_thread_inherits_callers_scope(self):
+        registry = MetricsRegistry()
+        tracer = Tracer()
+
+        async def run():
+            with instrumented(metrics=registry, tracer=tracer):
+                inner = await asyncio.to_thread(
+                    lambda: (active_metrics(), active_tracer())
+                )
+            after = await asyncio.to_thread(active_metrics)
+            return inner, after
+
+        inner, after = asyncio.run(run())
+        assert inner == (registry, tracer)
+        assert after is None
+
 
 class TestSimulatorInstrumentation:
     def _drive(self, registry):
-        sim = Simulator(metrics=registry)
+        with instrumented(metrics=registry):
+            sim = Simulator()
         for delay in (1.0, 2.0, 3.0):
             sim.schedule(delay, lambda: None)
         sim.run()
@@ -100,24 +166,12 @@ class TestSolverInstrumentation:
             instrumented_pi = steady_state(self.Q)
         assert instrumented_pi.tolist() == bare.tolist()
 
-    def test_escalation_attempt_counters(self):
-        from repro.runtime import solve_steady_state_with_escalation
-
-        registry = MetricsRegistry()
-        with instrumented(metrics=registry):
-            _, attempts = solve_steady_state_with_escalation(self.Q)
-        accepted = sum(1 for a in attempts if a.outcome == "accepted")
-        assert registry.value(
-            "solver_escalation_attempts",
-            strategy=attempts[-1].strategy,
-            outcome="accepted",
-        ) == accepted
-
 
 class TestEngineInstrumentation:
     def test_serial_task_accounting(self):
         registry = MetricsRegistry()
-        engine = EvaluationEngine(metrics=registry)
+        with instrumented(metrics=registry):
+            engine = EvaluationEngine()
         result = engine.map(sqrt, [1.0, 4.0, 9.0], phase="demo")
         assert result.outputs == (1.0, 2.0, 3.0)
         assert registry.value("engine_tasks", phase="demo") == 3
@@ -128,7 +182,8 @@ class TestEngineInstrumentation:
         from repro.engine import canonical_key
 
         registry = MetricsRegistry()
-        engine = EvaluationEngine(metrics=registry)
+        with instrumented(metrics=registry):
+            engine = EvaluationEngine()
         keys = [canonical_key("sqrt", x=x) for x in (1.0, 4.0)]
         first = engine.map(sqrt, [1.0, 4.0], keys=keys)
         second = engine.map(sqrt, [1.0, 4.0], keys=keys)
@@ -153,7 +208,8 @@ class TestEngineInstrumentation:
         bare = EvaluationEngine(workers=2).map(sqrt, [1.0, 4.0, 9.0, 16.0])
         registry = MetricsRegistry()
         tracer = Tracer()
-        engine = EvaluationEngine(workers=2, metrics=registry, tracer=tracer)
+        with instrumented(metrics=registry, tracer=tracer):
+            engine = EvaluationEngine(workers=2)
         result = engine.map(sqrt, [1.0, 4.0, 9.0, 16.0], phase="par")
         assert result.outputs == bare.outputs
         assert registry.value("engine_tasks", phase="par") == 4
@@ -163,7 +219,8 @@ class TestEngineInstrumentation:
     def test_parallel_worker_spans_parent_under_submits(self):
         registry = MetricsRegistry()
         tracer = Tracer()
-        engine = EvaluationEngine(workers=2, metrics=registry, tracer=tracer)
+        with instrumented(metrics=registry, tracer=tracer):
+            engine = EvaluationEngine(workers=2)
         engine.map(sqrt, [1.0, 4.0, 9.0], phase="par")
         by_id = {e["args"]["span_id"]: e for e in tracer.events}
         tasks = [e for e in tracer.events if e["name"] == "engine task"]
@@ -181,7 +238,8 @@ class TestEngineInstrumentation:
         graph.add("a", sqrt, (16.0,))
         graph.add("b", sqrt, deps=("a",))
         registry = MetricsRegistry()
-        engine = EvaluationEngine(metrics=registry)
+        with instrumented(metrics=registry):
+            engine = EvaluationEngine()
         result = engine.run_graph(graph, phase="g")
         assert result["b"] == 2.0
         assert registry.value("engine_tasks", phase="g") == 2

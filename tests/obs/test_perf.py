@@ -41,7 +41,8 @@ def _run_mixed(sim, a=30, b=20):
 class TestKernelAccounting:
     def test_simulator_accounts_per_event_type(self):
         recorder = PerfRecorder()
-        sim = Simulator(perf=recorder)
+        with instrumented(perf=recorder):
+            sim = Simulator()
         _run_mixed(sim, a=30, b=20)
         assert recorder.kernel.counts == {"TickA": 30, "TickB": 20}
         assert recorder.kernel.total_events == 50
@@ -52,7 +53,8 @@ class TestKernelAccounting:
 
     def test_function_events_use_qualname(self):
         recorder = PerfRecorder()
-        sim = Simulator(perf=recorder)
+        with instrumented(perf=recorder):
+            sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()
         (name,) = recorder.kernel.counts
@@ -83,8 +85,9 @@ class TestZeroOverheadBinding:
         assert sim._step.__func__ is Simulator._step_fast
 
     def test_perf_simulator_binds_profiled_step(self):
-        sim = Simulator(perf=PerfRecorder())
-        assert sim._step.__func__ is Simulator._step_profiled
+        with instrumented(perf=PerfRecorder()):
+            sim = Simulator()
+        assert sim._step.__func__ is Simulator._step_observed
 
     def test_ambient_recorder_is_picked_up(self):
         recorder = PerfRecorder()
@@ -103,7 +106,9 @@ class TestZeroOverheadBinding:
             sim.run()
             return hits
 
-        assert _drain(Simulator()) == _drain(Simulator(perf=PerfRecorder()))
+        with instrumented(perf=PerfRecorder()):
+            profiled = Simulator()
+        assert _drain(Simulator()) == _drain(profiled)
 
 
 class TestCounterProfiler:
@@ -131,7 +136,8 @@ class TestCounterProfiler:
     def test_two_identical_runs_are_byte_identical(self):
         def _profile():
             recorder = PerfRecorder(kernel_interval=7)
-            sim = Simulator(perf=recorder)
+            with instrumented(perf=recorder):
+                sim = Simulator()
             _run_mixed(sim, a=40, b=25)
             return recorder.profiler
 
@@ -183,7 +189,8 @@ class TestPerfRecorder:
 
     def test_write_artifacts(self, tmp_path):
         recorder = PerfRecorder(kernel_interval=5)
-        sim = Simulator(perf=recorder)
+        with instrumented(perf=recorder):
+            sim = Simulator()
         _run_mixed(sim, a=20, b=15)
         written = recorder.write_artifacts(tmp_path / "out")
         names = sorted(path.name for path in written)

@@ -8,14 +8,16 @@ OpenMetrics exposition ``repro stats --format openmetrics`` does.
 
 import contextlib
 import io
+import threading
 import time
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ServerError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, instrumented
 from repro.server import ServerClient, ServerThread
+from repro.server.work import execute_job, parse_spec
 
 
 def cli_stdout(argv):
@@ -231,6 +233,74 @@ class TestMetricsExposition:
         offline = cli_stdout(["stats", "--format", "openmetrics",
                               str(snapshot)])
         assert scrape == offline
+
+    def test_job_library_families_reach_metrics(self):
+        # Each job runs in its own ambient scope, so the layers under
+        # the engine (CTMC solvers, Bayesian inference, campaigns)
+        # record into the job registry that merges into /metrics.
+        with ServerThread(slots=1, queue_limit=4) as handle:
+            client = ServerClient(port=handle.port)
+            client.run("policies", {})
+            client.run("cloud", {})
+            client.run("campaign", {
+                "scenario": "lan-host", "user_class": "A",
+                "horizon": 50.0, "replications": 2,
+            })
+            text = client.metrics_text()
+        for family in ("ctmc_solves_total", "bayes_inference_queries_total",
+                       "campaign_replications_total"):
+            assert _family_total(text, family) >= 1, family
+
+
+def _family_total(text, family):
+    """Sum of one family's samples in an OpenMetrics exposition."""
+    return sum(
+        float(line.split()[-1]) for line in text.splitlines()
+        if line.startswith((family + "{", family + " "))
+    )
+
+
+class TestConcurrentJobIsolation:
+    def test_concurrent_jobs_keep_their_own_scopes(self):
+        # Both jobs block at their first progress event — inside their
+        # engine batch, with their scopes open — until the other one
+        # gets there too, so the two scopes are live at the same time.
+        barrier = threading.Barrier(2, timeout=30.0)
+
+        def gated_runner(kind, spec, token, progress, metrics):
+            waited = []
+
+            def gated(event):
+                if not waited:
+                    waited.append(True)
+                    barrier.wait()
+                progress(event)
+
+            return execute_job(kind, spec, token, gated, metrics)
+
+        alone = MetricsRegistry()
+        with instrumented(metrics=alone):
+            execute_job("policies", parse_spec("policies", {}))
+        expected_solves = _family_total(alone.render_openmetrics(),
+                                        "ctmc_solves_total")
+        assert expected_solves >= 1
+
+        with ServerThread(slots=2, queue_limit=4,
+                          runner=gated_runner) as handle:
+            client = ServerClient(port=handle.port)
+            sweep = client.submit("sweep", {"servers_max": 6,
+                                            "profile": True})
+            policies = client.submit("policies", {})
+            sweep_done = client.wait(sweep["id"])
+            policies_done = client.wait(policies["id"])
+            assert sweep_done["status"] == policies_done["status"] == "done"
+            profile = client.job_profile(sweep["id"])
+            text = client.metrics_text()
+        phases = {
+            batch["phase"] for batch in profile["attribution"]["batches"]
+        }
+        assert phases == {"grid failure rate x NW"}
+        assert _family_total(text, "ctmc_solves_total") == expected_solves
 
 
 class TestJournalRestartOverHttp:

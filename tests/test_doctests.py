@@ -32,7 +32,6 @@ MODULES = [
     "repro.measurement.uncertainty",
     "repro.obs.context",
     "repro.obs.metrics",
-    "repro.obs.profiling",
     "repro.obs.tracing",
     "repro.profiles.classes",
     "repro.profiles.graph",
@@ -61,7 +60,6 @@ MODULES = [
     "repro.runtime.budget",
     "repro.runtime.heartbeat",
     "repro.runtime.journal",
-    "repro.runtime.solver_retry",
     "repro.sensitivity.sweep",
     "repro.sim.des",
     "repro.sim.endtoend",
