@@ -33,6 +33,7 @@ so releasing a resource restores whatever latent state it reached.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
@@ -46,6 +47,8 @@ from ..profiles import UserClass
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..runtime.budget import CancellationToken
+
+_INF = float("inf")
 
 __all__ = [
     "EndToEndResult",
@@ -213,7 +216,8 @@ def simulate_user_availability_over_time(
         events past the horizon are ignored.
     cancellation:
         Optional :class:`~repro.runtime.CancellationToken` polled once
-        per simulated transition; lets a wall-clock deadline or an
+        per loop step (a resource transition, an applied fault event or
+        the final step to the horizon); lets a wall-clock deadline or an
         event budget interrupt the run cleanly (the partial integral is
         discarded — campaign-level journaling preserves only whole
         replications, which is what resume needs).
@@ -264,28 +268,36 @@ def simulate_user_availability_over_time(
     check_rate(default_repair_rate, "default_repair_rate")
     rates = _resource_rates(model, default_repair_rate)
     names = list(rates)
+    index = {name: i for i, name in enumerate(names)}
     timeline = _validated_timeline(faults, model)
+    fault_times = [event.time for event in timeline] + [_INF]
 
-    # Initial states drawn from each resource's steady state, so the time
-    # average starts unbiased rather than warming up from all-up.
-    up: Dict[str, bool] = {}
-    next_event: Dict[str, float] = {}
-    for name in names:
+    # Resources are indexed in model order.  Initial states are drawn
+    # from each resource's steady state, so the time average starts
+    # unbiased rather than warming up from all-up.  Finite-rate resources
+    # join a heap of (next transition time, index): equal times pop the
+    # lowest index, the model order a scan would pick first.  The
+    # infinite sentinel keeps the heap non-empty when no resource fails.
+    up = [True] * len(names)
+    scales = [None] * len(names)  # mean sojourn, indexed by the up state
+    heap = [(_INF, -1)]
+    for i, name in enumerate(names):
         process = rates[name]
         if process is None:
-            up[name] = True
-            next_event[name] = float("inf")
-            continue
-        up[name] = bool(rng.random() < process.availability)
-        rate = process.failure_rate if up[name] else process.repair_rate
-        next_event[name] = rng.exponential(1.0 / rate)
+            continue  # never fails
+        up[i] = state = bool(rng.random() < process.availability)
+        scales[i] = (1.0 / process.repair_rate, 1.0 / process.failure_rate)
+        heap.append((rng.exponential(scales[i][state]), i))
+    heapq.heapify(heap)
 
     # Injection overlay: forced-down counts per resource and per-service
     # degradation factors.  The *effective* resource state (natural state
-    # minus forced windows) is what services are evaluated against.
-    forced: Dict[str, int] = {}
+    # minus forced windows) is what services are evaluated against;
+    # ``down`` counts the effectively-down resources.
+    forced = [0] * len(names)
     factors: Dict[str, float] = {}
-    effective: Dict[str, bool] = dict(up)
+    effective = list(up)
+    down = effective.count(False)
 
     # Precompute, per scenario, the distribution of the union of services
     # a session touches (independent of availabilities).  With boolean
@@ -324,61 +336,110 @@ def simulate_user_availability_over_time(
                 product *= factors.get(service, 1.0)
             set_factors[k] = product
 
-    # Only services depending on a flipped resource need re-evaluation.
-    dependents: Dict[str, list] = {name: [] for name in names}
+    # Service s is bit s of ``up_services``.  Each service also keeps a
+    # local mask over its own distinct resources (bit set = effectively
+    # up) and memoizes its structure function per local mask, so a
+    # resource flip costs one table lookup per dependent service.
     from ..rbd import structure_function
 
-    service_structures = {
-        service: model.service_structure(service) for service in model.services
-    }
-    for service, structure in service_structures.items():
-        for resource_name in set(structure.component_names()):
-            dependents.setdefault(resource_name, []).append(service)
+    services = model.services
+    service_bit = {service: 1 << s for s, service in enumerate(services)}
+    structures = [model.service_structure(service) for service in services]
+    service_resources = [
+        tuple(dict.fromkeys(structure.component_names()))
+        for structure in structures
+    ]
+    dependents = [[] for _ in names]  # per resource: (service, local bit)
+    local_masks = []
+    for s, resources in enumerate(service_resources):
+        mask = 0
+        for b, resource_name in enumerate(resources):
+            dependents[index[resource_name]].append((s, 1 << b))
+            if effective[index[resource_name]]:
+                mask |= 1 << b
+        local_masks.append(mask)
+    service_tables = [{} for _ in services]
 
-    def service_state(service: str) -> bool:
-        return structure_function(service_structures[service], effective)
+    def service_up(s: int, mask: int) -> bool:
+        table = service_tables[s]
+        state = table.get(mask)
+        if state is None:
+            states = {
+                resource_name: bool(mask >> b & 1)
+                for b, resource_name in enumerate(service_resources[s])
+            }
+            state = table[mask] = structure_function(structures[s], states)
+        return state
 
-    up_services = {s for s in model.services if service_state(s)}
+    up_services = 0
+    for s, mask in enumerate(local_masks):
+        if service_up(s, mask):
+            up_services |= 1 << s
 
-    def refresh_services(flipped_resource: str) -> None:
-        for service in dependents.get(flipped_resource, ()):
-            if service_state(service):
-                up_services.add(service)
+    def set_effective(i: int, state: bool) -> None:
+        nonlocal down, up_services
+        effective[i] = state
+        down += -1 if state else 1
+        for s, bit in dependents[i]:
+            mask = local_masks[s] ^ bit
+            local_masks[s] = mask
+            if service_up(s, mask):
+                up_services |= 1 << s
             else:
-                up_services.discard(service)
+                up_services &= ~(1 << s)
+
+    # Conditional user availability, memoized per up-services mask.  The
+    # sum runs over the weighted sets in their original order, so every
+    # value is bit-identical to a fresh subset scan; setting service
+    # factors clears the table.
+    set_masks = [
+        (weight, sum(service_bit[service] for service in service_set))
+        for weight, service_set in weighted_sets
+    ]
+    availability_table: Dict[int, float] = {}
 
     def conditional_user_availability() -> float:
-        if degraded:
-            return sum(
-                weight * set_factors[k]
-                for k, (weight, service_set) in enumerate(weighted_sets)
-                if service_set <= up_services
-            )
-        return sum(
-            weight
-            for weight, service_set in weighted_sets
-            if service_set <= up_services
-        )
+        value = availability_table.get(up_services)
+        if value is None:
+            missing = ~up_services
+            if degraded:
+                value = sum(
+                    weight * set_factors[k]
+                    for k, (weight, set_mask) in enumerate(set_masks)
+                    if not set_mask & missing
+                )
+            else:
+                value = sum(
+                    weight
+                    for weight, set_mask in set_masks
+                    if not set_mask & missing
+                )
+            availability_table[up_services] = value
+        return value
 
     def apply_fault(event: FaultEvent) -> None:
-        touched = set(event.force_down) | set(event.release)
         for name in event.force_down:
-            forced[name] = forced.get(name, 0) + 1
+            forced[index[name]] += 1
         for name in event.release:
-            count = forced.get(name, 0)
-            if count <= 0:
+            i = index[name]
+            if forced[i] <= 0:
                 raise SimulationError(
                     f"fault event at t={event.time} releases {name!r}, "
                     "which is not forced down"
                 )
-            forced[name] = count - 1
-        for name in touched:
-            effective[name] = up[name] and forced.get(name, 0) == 0
-            refresh_services(name)
+            forced[i] -= 1
+        for name in event.force_down | event.release:
+            i = index[name]
+            state = up[i] and forced[i] == 0
+            if state != effective[i]:
+                set_effective(i, state)
         if event.service_factors:
             factors.update(event.service_factors)
             refresh_set_factors()
+            availability_table.clear()
 
+    heapreplace = heapq.heapreplace
+    exponential = rng.exponential
     clock = 0.0
     weighted_availability = 0.0
     fully_up_time = 0.0
@@ -391,18 +452,13 @@ def simulate_user_availability_over_time(
     while clock < horizon:
         if cancellation is not None:
             cancellation.count_event()
-        name = min(next_event, key=next_event.get) if next_event else None
-        resource_time = next_event[name] if name is not None else float("inf")
-        fault_time = (
-            timeline[next_fault].time
-            if next_fault < len(timeline)
-            else float("inf")
-        )
-        event_time = min(resource_time, fault_time)
-        step_end = min(event_time, horizon)
+        resource_time, i = heap[0]
+        fault_time = fault_times[next_fault]
+        event_time = fault_time if fault_time < resource_time else resource_time
+        step_end = horizon if horizon < event_time else event_time
         dt = step_end - clock
         weighted_availability += current * dt
-        if all(effective[r] for r in names):
+        if not down:
             fully_up_time += dt
         if current == 0.0:
             outage_time += dt
@@ -421,12 +477,10 @@ def simulate_user_availability_over_time(
         else:
             # Flip the resource's natural state and schedule its next
             # transition; the effective state honours forced windows.
-            up[name] = not up[name]
-            effective[name] = up[name] and forced.get(name, 0) == 0
-            refresh_services(name)
-            process = rates[name]
-            rate = process.failure_rate if up[name] else process.repair_rate
-            next_event[name] = clock + rng.exponential(1.0 / rate)
+            state = up[i] = not up[i]
+            if not forced[i]:
+                set_effective(i, state)
+            heapreplace(heap, (clock + exponential(scales[i][state]), i))
             transitions += 1
             if transitions > max_transitions:
                 raise SimulationError(

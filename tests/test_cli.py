@@ -178,6 +178,16 @@ class TestInjectCommand:
         assert main(args + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("scenario", ["null", "lan-host", "web-degraded"])
+    def test_stdout_matches_committed_golden(self, capsys, scenario, workers):
+        golden = Path(__file__).parent / "goldens" / f"inject_{scenario}.txt"
+        assert main([
+            "inject", "--scenario", scenario, "--horizon", "1000",
+            "--replications", "3", "--seed", "5", "--workers", workers,
+        ]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_invalid_workers_is_a_one_line_error(self, capsys):
         assert main(["inject", "--workers", "0"]) == 2
         err = capsys.readouterr().err
