@@ -121,7 +121,12 @@ import sys
 from typing import List, Optional
 
 from .reporting import format_downtime, format_table
-from .workloads import FAULT_SCENARIOS, SWEEP_FAILURE_RATES
+from .workloads import (
+    FAULT_SCENARIOS,
+    SWEEP_FAILURE_RATES,
+    fault_scenario_factories,
+    selected_classes,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -731,15 +736,8 @@ def _check_workers(value: int) -> int:
     return _check_int_flag(value, "workers")
 
 
-def _fault_scenarios():
-    """Named fault scenarios for ``repro inject`` (built lazily)."""
-    from .workloads import fault_scenario_factories
-
-    return fault_scenario_factories()
-
-
 def _cmd_ta(args) -> int:
-    from .ta import CLASS_A, CLASS_B, TAParameters, TravelAgencyModel
+    from .ta import TAParameters, TravelAgencyModel
 
     params = TAParameters()
     if args.reservations is not None:
@@ -747,9 +745,7 @@ def _cmd_ta(args) -> int:
         params = params.with_reservation_systems(args.reservations)
     model = TravelAgencyModel(params, architecture=args.architecture)
 
-    classes = {"A": [CLASS_A], "B": [CLASS_B], "both": [CLASS_A, CLASS_B]}[
-        args.user_class
-    ]
+    classes = selected_classes(args.user_class)
 
     if args.report:
         from .ta.report import availability_report
@@ -881,12 +877,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _selected_classes(spec: str):
-    from .workloads import selected_classes
-
-    return selected_classes(spec)
-
-
 def _runtime_context(args):
     """(cancellation, heartbeat) from the shared --deadline/--progress flags."""
     from .runtime import Budget, ConsoleHeartbeat
@@ -911,7 +901,9 @@ def _cmd_inject(args) -> int:
     _check_float_flag(args.horizon, "horizon")
     cancellation, heartbeat = _runtime_context(args)
     model = TravelAgencyModel(architecture=args.architecture)
-    scenario = _fault_scenarios()[args.scenario](model.hierarchical_model)
+    scenario = fault_scenario_factories()[args.scenario](
+        model.hierarchical_model
+    )
     if args.journal is not None:
         if args.user_class == "both":
             raise ValidationError(
@@ -920,7 +912,7 @@ def _cmd_inject(args) -> int:
             )
         results = [run_campaign(
             model.hierarchical_model,
-            _selected_classes(args.user_class)[0],
+            selected_classes(args.user_class)[0],
             scenario,
             horizon=args.horizon,
             replications=args.replications,
@@ -939,7 +931,7 @@ def _cmd_inject(args) -> int:
     else:
         results = run_campaigns(
             model.hierarchical_model,
-            _selected_classes(args.user_class),
+            selected_classes(args.user_class),
             [scenario],
             horizon=args.horizon,
             replications=args.replications,
@@ -981,8 +973,10 @@ def _cmd_resume(args) -> int:
             "--journal`; resume it with repro.resilience.resume_campaign()"
         )
     model = TravelAgencyModel(architecture=meta["architecture"])
-    scenario = _fault_scenarios()[meta["scenario"]](model.hierarchical_model)
-    user_class = _selected_classes(meta["user_class"])[0]
+    scenario = fault_scenario_factories()[meta["scenario"]](
+        model.hierarchical_model
+    )
+    user_class = selected_classes(meta["user_class"])[0]
     result = resume_campaign(
         args.journal,
         model.hierarchical_model,
@@ -1017,7 +1011,7 @@ def _retry_sim_cell(spec):
     model = TravelAgencyModel(architecture=architecture)
     users = next(
         u
-        for u in _selected_classes("both")
+        for u in selected_classes("both")
         if u.name == class_name
     )
     sim = estimate_user_availability_with_retries(
@@ -1054,7 +1048,7 @@ def _cmd_retries(args) -> int:
 
         journal = Journal(args.journal)
     model = TravelAgencyModel(architecture=args.architecture)
-    classes = _selected_classes(args.user_class)
+    classes = selected_classes(args.user_class)
 
     results = [
         model.retry_adjusted_availability(users, policy) for users in classes
@@ -1496,11 +1490,13 @@ def _cmd_slo(args) -> int:
     _check_int_flag(args.replications, "replications")
     _check_int_flag(args.seed, "seed", minimum=0)
     model = TravelAgencyModel(architecture=args.architecture)
-    scenario = _fault_scenarios()[args.scenario](model.hierarchical_model)
+    scenario = fault_scenario_factories()[args.scenario](
+        model.hierarchical_model
+    )
 
     summaries = []
     alert_log = []
-    for user_class in _selected_classes(args.user_class):
+    for user_class in selected_classes(args.user_class):
         objective = (
             args.objective
             if args.objective is not None

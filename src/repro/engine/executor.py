@@ -26,10 +26,11 @@ recorded (key + JSON value); re-running the same batch over the same
 journal restores completed tasks and computes only the rest — the same
 contract campaigns have, now for arbitrary parallel batches.
 
-**Fault tolerance.**  The process-pool backends are *supervised*: a
-worker that dies mid-task (OOM kill, segfault, chaos injection) breaks
-the pool, and the engine responds by respawning a fresh pool and
-re-dispatching only the tasks that had not completed — up to
+**Fault tolerance.**  Both entry points share one scheduler with one
+*supervised* process-pool backend: a worker that dies mid-task (OOM
+kill, segfault, chaos injection) breaks the pool, and the engine
+responds by respawning a fresh pool and re-dispatching only the tasks
+that had not completed — up to
 ``max_respawns`` pool generations before giving up with
 :class:`~repro.errors.EngineError`.  Attaching a
 :class:`~repro.engine.TaskRetryPolicy` additionally retries individual
@@ -39,9 +40,11 @@ the last failure.  Both mechanisms preserve determinism — results are
 still assembled by index/name, so a run that survived crashes is
 bit-identical to an undisturbed serial run.
 
-The serial backend (``workers=1``, the default) is the reference
-implementation: the parallel backend must, and is tested to, reproduce
-its outputs bit for bit.
+The serial loop is the reference implementation: the pool backend
+must, and is tested to, reproduce its outputs bit for bit.  A batch
+runs in-process when ``workers=1`` (the default) or when at most one
+task misses the cache; otherwise it gets a pool of
+``min(workers, misses)`` processes.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -185,27 +189,55 @@ class GraphResult:
         return self.values[name]
 
 
-def _obs_call(
+class _Entry(NamedTuple):
+    """One task for the scheduler: a :meth:`~EvaluationEngine.map` item
+    or a :class:`~repro.engine.tasks.TaskGraph` node.
+
+    The task runs as ``fn(*args, *results of deps)``; ``deps`` index
+    earlier entries.  ``attrs`` (``index=`` or ``task=``) label its
+    spans, and ``label`` is the message of its heartbeat event.
+    """
+
+    fn: Callable[..., Any]
+    args: Tuple[Any, ...]
+    key: Optional[str]
+    deps: Tuple[int, ...]
+    attrs: Dict[str, Any]
+    label: str
+
+
+def _worker_call(
+    chaos: Optional["ChaosPlan"],
+    index: int,
+    instrument: bool,
     ctx: Optional[Dict[str, Any]],
     phase: str,
     fn: Callable[..., Any],
     args: Tuple[Any, ...],
     perf: bool = False,
-) -> Tuple[Any, Dict[str, Any], Optional[Dict[str, Any]],
-           Optional[Dict[str, Any]]]:
-    """Run one task in a worker under fresh ambient instrumentation.
+) -> Any:
+    """Worker-side entry point of every pool task.  Module-level so it pickles.
 
-    The worker builds its own registry (merged back by name) and, when a
-    :class:`~repro.obs.SpanContext` dict is shipped, its own tracer whose
-    root span parents under the submitting span.  With *perf*, it also
-    builds a worker-local :class:`~repro.obs.PerfRecorder` — DES kernels
-    constructed inside the task account per-event-type self-time into it
-    — and ships back its execute window (pid + wall start + duration) for
-    the parent's :class:`~repro.obs.AttributionReport`.  Returns
-    ``(value, metrics_snapshot, trace_payload, perf_record)`` — the
-    parent unwraps the value before assembly, so instrumented parallel
-    outputs stay bit-identical to uninstrumented ones.
+    Runs the chaos plan's injection point first (which may kill this
+    worker process or raise a transient fault).  Uninstrumented, it
+    then returns ``fn(*args)``.  Instrumented, it runs the task under
+    fresh ambient instrumentation: its own registry (merged back by
+    name) and, when a :class:`~repro.obs.SpanContext` dict is shipped,
+    its own tracer whose root span parents under the submitting span.
+    With *perf*, it also builds a worker-local
+    :class:`~repro.obs.PerfRecorder` — DES kernels constructed inside
+    the task account per-event-type self-time into it — and ships back
+    its execute window (pid + wall start + duration) for the parent's
+    :class:`~repro.obs.AttributionReport`.  The instrumented call
+    returns ``(value, metrics_snapshot, trace_payload, perf_record)``;
+    the parent unwraps the value before assembly, so instrumented
+    parallel outputs stay bit-identical to uninstrumented ones.
     """
+    if chaos is not None:
+        chaos.before_task(index, in_worker=True)
+    if not instrument:
+        return fn(*args)
+
     from ..obs.context import instrumented
     from ..obs.metrics import MetricsRegistry
     from ..obs.tracing import SpanContext, Tracer
@@ -243,29 +275,6 @@ def _obs_call(
         record["wall_start"] = wall_start
         record["duration"] = duration
     return value, registry.to_dict(), payload, record
-
-
-def _worker_call(
-    chaos: Optional["ChaosPlan"],
-    index: int,
-    instrument: bool,
-    ctx: Optional[Dict[str, Any]],
-    phase: str,
-    fn: Callable[..., Any],
-    args: Tuple[Any, ...],
-    perf: bool = False,
-) -> Any:
-    """Worker-side task entry point when a chaos plan is attached.
-
-    Runs the plan's injection point (which may kill this worker process
-    or raise a transient fault) before delegating to the plain or
-    instrumented call path.  Module-level so it pickles.
-    """
-    if chaos is not None:
-        chaos.before_task(index, in_worker=True)
-    if instrument:
-        return _obs_call(ctx, phase, fn, args, perf)
-    return fn(*args)
 
 
 def _json_safe(value: Any) -> Any:
@@ -308,10 +317,12 @@ class EvaluationEngine:
         anything else — and the last retryable failure once attempts are
         exhausted — propagates unchanged.
     chaos:
-        Optional :class:`~repro.chaos.ChaosPlan` wired into every
-        :meth:`map` task (serial and worker-side), used by the
-        deterministic chaos harness to inject worker kills and transient
-        faults at planned task indices.  Production runs leave it None.
+        Optional :class:`~repro.chaos.ChaosPlan` wired into every task
+        (serial and worker-side), used by the deterministic chaos
+        harness to inject worker kills and transient faults at planned
+        task indices: a :meth:`map` item's index, or a graph task's
+        position in :meth:`~repro.engine.tasks.TaskGraph.topological_order`.
+        Production runs leave it None.
     max_respawns:
         Worker-pool generations the supervisor may spawn to replace dead
         workers before declaring the batch failed.
@@ -373,6 +384,11 @@ class EvaluationEngine:
         self._metrics = active_metrics()
         self._tracer = active_tracer()
         self._perf = active_perf()
+        self._instrument = (
+            self._metrics is not None
+            or self._tracer is not None
+            or self._perf is not None
+        )
 
     # ------------------------------------------------------------------
     def _check(self) -> None:
@@ -420,6 +436,18 @@ class EvaluationEngine:
             ).observe(monotonic() - started)
         return value
 
+    @staticmethod
+    def _timed_cache(
+        bperf: Optional["BatchPerf"], op: Callable[..., Any], *args: Any,
+    ) -> Any:
+        """Run one cache lookup or put, timed into the cache bucket."""
+        if bperf is None:
+            return op(*args)
+        started = monotonic()
+        outcome = op(*args)
+        bperf.add_cache(monotonic() - started)
+        return outcome
+
     # -- fault tolerance helpers ---------------------------------------
     def _should_retry(self, exc: BaseException, attempt: int) -> bool:
         return (
@@ -435,25 +463,26 @@ class EvaluationEngine:
 
     def _call_serial(
         self,
-        fn: Callable[..., Any],
+        entry: _Entry,
         args: Tuple[Any, ...],
         phase: str,
-        chaos_index: Optional[int],
+        position: int,
         counters: _RunCounters,
-        **attrs: Any,
     ) -> Tuple[Any, int]:
-        """Run one task in-process under the retry policy.
+        """Run one entry in-process under the retry policy.
 
         Returns ``(value, attempts)``.  Chaos injections (when a plan is
-        attached and the task has a map index) fire before each attempt,
-        exactly as they do inside pool workers.
+        attached) fire before each attempt, exactly as they do inside
+        pool workers.
         """
         attempt = 1
         while True:
             try:
-                if self.chaos is not None and chaos_index is not None:
-                    self.chaos.before_task(chaos_index, in_worker=False)
-                return self._call_task(fn, args, phase, **attrs), attempt
+                if self.chaos is not None:
+                    self.chaos.before_task(position, in_worker=False)
+                return self._call_task(
+                    entry.fn, args, phase, **entry.attrs
+                ), attempt
             except BaseException as exc:
                 if not self._should_retry(exc, attempt):
                     raise
@@ -461,72 +490,27 @@ class EvaluationEngine:
                 self._retry_pause(attempt)
                 attempt += 1
 
-    def _submit_map_task(
-        self,
-        pool: ProcessPoolExecutor,
-        fn: Callable[[Any], Any],
-        item: Any,
-        phase: str,
-        index: int,
+    def _submit(
+        self, pool: ProcessPoolExecutor, entry: _Entry, position: int,
+        args: Tuple[Any, ...], phase: str,
     ):
-        """Submit one map task, routing through the chaos/obs wrappers."""
-        perf = self._perf is not None
-        instrument = (
-            self._metrics is not None or self._tracer is not None or perf
-        )
-        if self.chaos is None and not instrument:
-            return pool.submit(fn, item)
-        if instrument:
-            if self._tracer is not None:
-                with self._tracer.span(
-                    "engine submit", category="engine", phase=phase,
-                    index=index,
-                ):
-                    ctx = self._tracer.context().as_dict()
-            else:
-                ctx = None
-            if self.chaos is None:
-                return pool.submit(_obs_call, ctx, phase, fn, (item,), perf)
-            return pool.submit(
-                _worker_call, self.chaos, index, True, ctx, phase, fn,
-                (item,), perf,
-            )
-        return pool.submit(
-            _worker_call, self.chaos, index, False, None, phase, fn, (item,),
-        )
+        """Submit one entry to *pool* through :func:`_worker_call`.
 
-    def _respawn_or_give_up(
-        self, respawns: int, phase: str, remaining: int,
-        counters: _RunCounters,
-    ) -> None:
-        """Account one dead pool; raise once the respawn budget is spent."""
-        counters.respawns += 1
-        if respawns > self.max_respawns:
-            raise EngineError(
-                f"worker pool for {phase!r} died {respawns} times "
-                f"(max_respawns={self.max_respawns}); giving up with "
-                f"{remaining} tasks incomplete"
-            )
-
-    def _submit_instrumented(
-        self, pool: ProcessPoolExecutor, fn: Callable[..., Any],
-        args: Tuple[Any, ...], phase: str, **attrs: Any,
-    ):
-        """Submit a task wrapped in :func:`_obs_call`.
-
-        The submit span is recorded immediately (its duration is the
-        submission cost); the worker's spans parent under its id and are
-        re-based onto this timeline when the result is unwrapped.
+        With a tracer, the submit span is recorded immediately (its
+        duration is the submission cost); the worker's spans parent
+        under its id and are re-based onto this timeline when the result
+        is unwrapped.
         """
+        ctx = None
         if self._tracer is not None:
             with self._tracer.span(
-                "engine submit", category="engine", phase=phase, **attrs
+                "engine submit", category="engine", phase=phase,
+                **entry.attrs,
             ):
                 ctx = self._tracer.context().as_dict()
-        else:
-            ctx = None
         return pool.submit(
-            _obs_call, ctx, phase, fn, args, self._perf is not None
+            _worker_call, self.chaos, position, self._instrument, ctx, phase,
+            entry.fn, args, self._perf is not None,
         )
 
     def _unwrap_instrumented(
@@ -547,11 +531,12 @@ class EvaluationEngine:
         return value
 
     def _time_serialization(
-        self, batch: Optional["BatchPerf"], fn: Callable[..., Any], item: Any,
+        self, batch: Optional["BatchPerf"], fn: Callable[..., Any],
+        args: Tuple[Any, ...],
     ) -> None:
         """Measure what shipping this task costs in pickle time/bytes.
 
-        The pool pickles ``(fn, item)`` itself on submit; re-pickling
+        The pool pickles ``(fn, args)`` itself on submit; re-pickling
         here is the measured proxy for that cost (only when a perf
         recorder is attached), credited to the serialization bucket.
         """
@@ -559,26 +544,27 @@ class EvaluationEngine:
             return
         started = monotonic()
         try:
-            payload = pickle.dumps((fn, item))
+            payload = pickle.dumps((fn, args))
         except Exception:
             return
         batch.add_serialization(monotonic() - started, len(payload))
 
     def _record_run_metrics(
-        self, phase: str, total: int, executed: int, restored: int,
-        delta: CacheStats, retries: int = 0, respawns: int = 0,
+        self, phase: str, total: int, restored: int, delta: CacheStats,
+        counters: _RunCounters,
     ) -> None:
         if self._metrics is None:
             return
         m = self._metrics
+        executed = counters.executed
         m.counter(
             "engine_task_retries",
             help="Task attempts re-run after retryable failures.",
-        ).inc(retries)
+        ).inc(counters.retries)
         m.counter(
             "engine_worker_respawns",
             help="Worker pools respawned after a worker death.",
-        ).inc(respawns)
+        ).inc(counters.respawns)
         m.counter(
             "engine_tasks", help="Tasks submitted to the engine.", phase=phase,
         ).inc(total)
@@ -673,13 +659,12 @@ class EvaluationEngine:
                 raise EngineError(
                     f"got {len(keys)} cache keys for {total} items"
                 )
-        before = self.cache.stats
         started = monotonic()
-        bperf = (
-            self._perf.start_batch(phase, self.workers, total)
-            if self._perf is not None
-            else None
-        )
+        entries = [
+            _Entry(fn, (item,), keys[index] if keys is not None else None,
+                   (), {"index": index}, "")
+            for index, item in enumerate(items)
+        ]
 
         owns_journal = journal is not None and not isinstance(journal, Journal)
         restored: Dict[int, Any] = {}
@@ -691,203 +676,47 @@ class EvaluationEngine:
             if journal.next_seq == 0:
                 journal.append("batch_start", phase=phase, total=total)
 
+        def record(
+            index: int, value: Any, attempts: int,
+            bperf: Optional["BatchPerf"],
+        ) -> None:
+            if journal is not None:
+                append_started = monotonic() if bperf is not None else 0.0
+                journal.append(
+                    "task_result",
+                    index=index,
+                    key=entries[index].key,
+                    value=_json_safe(value),
+                    attempts=attempts,
+                )
+                if bperf is not None:
+                    bperf.add_serialization(monotonic() - append_started)
+            if on_result is not None:
+                on_result(index, value)
+
         try:
-            outputs: List[Any] = [None] * total
-            done = 0
-            pending: List[int] = []
-            for index, item in enumerate(items):
-                if index in restored:
-                    outputs[index] = restored[index]
-                    done += 1
-                    continue
-                key = keys[index] if keys is not None else None
-                if key is not None:
-                    if bperf is not None:
-                        lookup_started = monotonic()
-                        hit, value = self.cache.lookup(key)
-                        bperf.add_cache(monotonic() - lookup_started)
-                    else:
-                        hit, value = self.cache.lookup(key)
-                    if hit:
-                        outputs[index] = value
-                        done += 1
-                        continue
-                pending.append(index)
-
-            self._beat(
-                phase, done, total,
-                f"{len(restored)} restored, {done - len(restored)} cached",
+            outputs, delta, counters = self._schedule(
+                entries, phase, restored, record
             )
-
-            counters = _RunCounters()
-
-            def complete(index: int, value: Any, attempts: int = 1) -> None:
-                nonlocal done
-                outputs[index] = value
-                done += 1
-                key = keys[index] if keys is not None else None
-                if key is not None:
-                    if bperf is not None:
-                        put_started = monotonic()
-                        self.cache.put(key, value)
-                        bperf.add_cache(monotonic() - put_started)
-                    else:
-                        self.cache.put(key, value)
-                if journal is not None:
-                    append_started = monotonic() if bperf is not None else 0.0
-                    journal.append(
-                        "task_result",
-                        index=index,
-                        key=key,
-                        value=_json_safe(value),
-                        attempts=attempts,
-                    )
-                    if bperf is not None:
-                        bperf.add_serialization(monotonic() - append_started)
-                if on_result is not None:
-                    on_result(index, value)
-                self._beat(phase, done, total)
-
-            executed = len(pending)
-            if self.workers == 1 or len(pending) <= 1:
-                for index in pending:
-                    self._check()
-                    if bperf is not None:
-                        self._perf.profiler.tick_task(leaf=f"task:{phase}")
-                        wall_start = walltime()
-                        exec_started = monotonic()
-                    value, attempts = self._call_serial(
-                        fn, (items[index],), phase, index, counters,
-                        index=index,
-                    )
-                    if bperf is not None:
-                        bperf.task_executed(
-                            os.getpid(), wall_start,
-                            monotonic() - exec_started,
-                        )
-                    complete(index, value, attempts)
-            else:
-                self._map_parallel(fn, items, pending, complete, phase,
-                                   counters, bperf)
-
-            if journal is not None and total and done == total:
+            if journal is not None and total:
                 # Idempotent end marker (skipped when resuming past one).
                 records = read_journal(journal.path, missing_ok=True)
                 if not any(r.get("kind") == "batch_end" for r in records):
-                    journal.append("batch_end", executed=executed)
+                    journal.append("batch_end", executed=counters.executed)
         finally:
             if owns_journal and journal is not None:
                 journal.close()
 
-        if bperf is not None:
-            bperf.finish()
-        delta = _stats_delta(before, self.cache.stats)
-        self._record_run_metrics(phase, total, executed, len(restored), delta,
-                                 retries=counters.retries,
-                                 respawns=counters.respawns)
         return BatchResult(
             outputs=tuple(outputs),
             cache_stats=delta,
-            executed=executed,
+            executed=counters.executed,
             restored=len(restored),
             workers=self.workers,
             elapsed=monotonic() - started,
             retries=counters.retries,
             respawns=counters.respawns,
         )
-
-    def _map_parallel(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        pending: Sequence[int],
-        complete: Callable[..., None],
-        phase: str,
-        counters: _RunCounters,
-        bperf: Optional["BatchPerf"] = None,
-    ) -> None:
-        """Supervised process-pool backend for :meth:`map`.
-
-        Each *pool pass* drives one ``ProcessPoolExecutor`` until every
-        remaining task completes or the pool breaks (a worker died).  A
-        broken pool costs one respawn from the ``max_respawns`` budget;
-        the next pass re-dispatches exactly the tasks that had not
-        completed, so supervised output is bit-identical to serial.
-        """
-        self._require_picklable(fn)
-        remaining: Set[int] = set(pending)
-        attempts: Dict[int, int] = {}
-        respawns = 0
-        while remaining:
-            try:
-                self._map_pool_pass(fn, items, remaining, attempts, complete,
-                                    phase, counters, bperf)
-            except BrokenExecutor:
-                respawns += 1
-                self._respawn_or_give_up(respawns, phase, len(remaining),
-                                         counters)
-
-    def _map_pool_pass(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        remaining: Set[int],
-        attempts: Dict[int, int],
-        complete: Callable[..., None],
-        phase: str,
-        counters: _RunCounters,
-        bperf: Optional["BatchPerf"] = None,
-    ) -> None:
-        instrument = (
-            self._metrics is not None
-            or self._tracer is not None
-            or self._perf is not None
-        )
-        max_workers = min(self.workers, len(remaining))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures: Dict[Any, int] = {}
-            try:
-                for index in sorted(remaining):
-                    self._check()
-                    self._time_serialization(bperf, fn, items[index])
-                    future = self._submit_map_task(pool, fn, items[index],
-                                                   phase, index)
-                    futures[future] = index
-                outstanding = set(futures)
-                while outstanding:
-                    self._check()
-                    if bperf is not None:
-                        bperf.sample_queue_depth(len(outstanding))
-                    finished, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED
-                    )
-                    for future in finished:
-                        index = futures.pop(future)
-                        try:
-                            value = future.result()
-                        except BrokenExecutor:
-                            raise  # dead worker: the supervisor respawns
-                        except BaseException as exc:
-                            attempt = attempts.get(index, 1)
-                            if not self._should_retry(exc, attempt):
-                                raise
-                            attempts[index] = attempt + 1
-                            counters.retries += 1
-                            self._retry_pause(attempt)
-                            retry_future = self._submit_map_task(
-                                pool, fn, items[index], phase, index
-                            )
-                            futures[retry_future] = index
-                            outstanding.add(retry_future)
-                            continue
-                        if instrument:
-                            value = self._unwrap_instrumented(value, bperf)
-                        complete(index, value, attempts.get(index, 1))
-                        remaining.discard(index)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
 
     @staticmethod
     def _restore_from_journal(
@@ -950,77 +779,19 @@ class EvaluationEngine:
 
     def _run_graph(self, graph: TaskGraph, phase: str) -> GraphResult:
         order = graph.topological_order()
-        before = self.cache.stats
         started = monotonic()
-        bperf = (
-            self._perf.start_batch(phase, self.workers, len(order))
-            if self._perf is not None
-            else None
-        )
-        values: Dict[str, Any] = {}
-        counters = _RunCounters()
-
-        def resolve(name: str) -> Tuple[bool, Any]:
+        position = {name: index for index, name in enumerate(order)}
+        entries = []
+        for name in order:
             task = graph.task(name)
-            if task.key is not None:
-                if bperf is not None:
-                    lookup_started = monotonic()
-                    outcome = self.cache.lookup(task.key)
-                    bperf.add_cache(monotonic() - lookup_started)
-                    return outcome
-                return self.cache.lookup(task.key)
-            return False, None
-
-        def call_args(name: str) -> Tuple[Any, ...]:
-            task = graph.task(name)
-            return task.args + tuple(values[dep] for dep in task.deps)
-
-        def finish(name: str, value: Any) -> None:
-            task = graph.task(name)
-            values[name] = value
-            if task.key is not None:
-                if bperf is not None:
-                    put_started = monotonic()
-                    self.cache.put(task.key, value)
-                    bperf.add_cache(monotonic() - put_started)
-                else:
-                    self.cache.put(task.key, value)
-            self._beat(phase, len(values), len(order), name)
-
-        if self.workers == 1:
-            for name in order:
-                self._check()
-                hit, value = resolve(name)
-                if hit:
-                    values[name] = value
-                    self._beat(phase, len(values), len(order), name)
-                    continue
-                counters.executed += 1
-                if bperf is not None:
-                    self._perf.profiler.tick_task(leaf=f"task:{phase}")
-                    wall_start = walltime()
-                    exec_started = monotonic()
-                value, _ = self._call_serial(
-                    graph.task(name).fn, call_args(name), phase, None,
-                    counters, task=name,
-                )
-                if bperf is not None:
-                    bperf.task_executed(
-                        os.getpid(), wall_start, monotonic() - exec_started
-                    )
-                finish(name, value)
-        else:
-            self._run_graph_parallel(graph, order, resolve, call_args,
-                                     finish, phase, counters, bperf)
-
-        if bperf is not None:
-            bperf.finish()
-        delta = _stats_delta(before, self.cache.stats)
-        self._record_run_metrics(phase, len(order), counters.executed, 0,
-                                 delta, retries=counters.retries,
-                                 respawns=counters.respawns)
+            entries.append(_Entry(
+                task.fn, task.args, task.key,
+                tuple(position[dep] for dep in task.deps), {"task": name},
+                name,
+            ))
+        results, delta, counters = self._schedule(entries, phase)
         return GraphResult(
-            values=values,
+            values=dict(zip(order, results)),
             cache_stats=delta,
             executed=counters.executed,
             workers=self.workers,
@@ -1029,121 +800,210 @@ class EvaluationEngine:
             respawns=counters.respawns,
         )
 
-    def _run_graph_parallel(self, graph, order, resolve, call_args, finish,
-                            phase, counters: _RunCounters,
-                            bperf: Optional["BatchPerf"] = None):
-        """Supervised process-pool backend for :meth:`run_graph`.
+    # -- the scheduler --------------------------------------------------
+    def _schedule(
+        self,
+        entries: Sequence[_Entry],
+        phase: str,
+        restored: Optional[Dict[int, Any]] = None,
+        on_complete: Optional[
+            Callable[[int, Any, int, Optional["BatchPerf"]], None]
+        ] = None,
+    ) -> Tuple[List[Any], CacheStats, _RunCounters]:
+        """Run one batch of entries; the scheduler behind both entry points.
 
-        Like :meth:`_map_parallel`, runs one pool pass at a time; a pass
-        that loses a worker forfeits its in-flight futures, and the next
-        pass re-dispatches every task that is not yet settled (their
-        dependencies stay settled, so no completed work is repeated).
+        Entries in *restored* take their value from it; keyed entries
+        are looked up in the memo cache next.  The rest — the misses —
+        run in-process, in entry order, when ``workers == 1`` or at most
+        one entry misses (the serial reference loop); otherwise they go
+        to the supervised pool (:meth:`_run_pool`).  Each computed value
+        is cached, handed to ``on_complete(position, value, attempts,
+        batch_perf)`` and reported as one heartbeat.
+
+        Returns the values by entry position, the run's cache-stats
+        delta and its counters.
         """
-        waiting = {name: set(graph.task(name).deps) for name in order}
-        dependents: Dict[str, List[str]] = {name: [] for name in order}
-        for name in order:
-            for dep in graph.task(name).deps:
-                dependents[dep].append(name)
-        done: set = set()
-        attempts: Dict[str, int] = {}
-        respawns = 0
-        while len(done) < len(order):
-            try:
-                self._graph_pool_pass(graph, order, waiting, dependents,
-                                      done, attempts, resolve, call_args,
-                                      finish, phase, counters, bperf)
-            except BrokenExecutor:
-                respawns += 1
-                self._respawn_or_give_up(
-                    respawns, phase, len(order) - len(done), counters
-                )
-        return counters.executed
-
-    def _graph_pool_pass(self, graph, order, waiting, dependents, done,
-                         attempts, resolve, call_args, finish, phase,
-                         counters: _RunCounters,
-                         bperf: Optional["BatchPerf"] = None):
-        instrument = (
-            self._metrics is not None
-            or self._tracer is not None
-            or self._perf is not None
+        restored = restored or {}
+        total = len(entries)
+        before = self.cache.stats
+        bperf = (
+            self._perf.start_batch(phase, self.workers, total)
+            if self._perf is not None
+            else None
         )
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures: Dict[Any, str] = {}
-
-            def settle(name: str, value: Any) -> List[str]:
-                finish(name, value)
-                done.add(name)
-                freed = []
-                for dependent in dependents[name]:
-                    waiting[dependent].discard(name)
-                    if not waiting[dependent] and dependent not in done:
-                        freed.append(dependent)
-                return freed
-
-            def submit(name: str) -> None:
-                task = graph.task(name)
-                self._require_picklable(task.fn)
-                self._time_serialization(bperf, task.fn, call_args(name))
-                if instrument:
-                    future = self._submit_instrumented(
-                        pool, task.fn, call_args(name), phase, task=name
-                    )
-                else:
-                    future = pool.submit(task.fn, *call_args(name))
-                futures[future] = name
-
-            def dispatch(name: str) -> List[str]:
-                # Cache hits (and their newly freed dependents) settle
-                # immediately; misses go to the pool.
-                self._check()
-                hit, value = resolve(name)
+        results: List[Any] = [None] * total
+        for position, value in restored.items():
+            results[position] = value
+        done = len(restored)
+        misses: List[int] = []
+        for position, entry in enumerate(entries):
+            if position in restored:
+                continue
+            if entry.key is not None:
+                hit, value = self._timed_cache(
+                    bperf, self.cache.lookup, entry.key
+                )
                 if hit:
-                    return settle(name, value)
-                submit(name)
-                return []
+                    results[position] = value
+                    done += 1
+                    continue
+            misses.append(position)
+
+        self._beat(
+            phase, done, total,
+            f"{len(restored)} restored, {done - len(restored)} cached",
+        )
+        counters = _RunCounters()
+        counters.executed = len(misses)
+
+        def call_args(position: int) -> Tuple[Any, ...]:
+            entry = entries[position]
+            return entry.args + tuple(results[dep] for dep in entry.deps)
+
+        def complete(position: int, value: Any, attempts: int) -> None:
+            nonlocal done
+            results[position] = value
+            done += 1
+            entry = entries[position]
+            if entry.key is not None:
+                self._timed_cache(bperf, self.cache.put, entry.key, value)
+            if on_complete is not None:
+                on_complete(position, value, attempts, bperf)
+            self._beat(phase, done, total, entry.label)
+
+        if self.workers == 1 or len(misses) <= 1:
+            for position in misses:
+                self._check()
+                if bperf is not None:
+                    self._perf.profiler.tick_task(leaf=f"task:{phase}")
+                    wall_start = walltime()
+                    exec_started = monotonic()
+                value, attempts = self._call_serial(
+                    entries[position], call_args(position), phase, position,
+                    counters,
+                )
+                if bperf is not None:
+                    bperf.task_executed(
+                        os.getpid(), wall_start, monotonic() - exec_started
+                    )
+                complete(position, value, attempts)
+        else:
+            self._run_pool(entries, misses, call_args, complete, phase,
+                           counters, bperf)
+
+        if bperf is not None:
+            bperf.finish()
+        delta = _stats_delta(before, self.cache.stats)
+        self._record_run_metrics(phase, total, len(restored), delta, counters)
+        return results, delta, counters
+
+    def _run_pool(
+        self,
+        entries: Sequence[_Entry],
+        misses: Sequence[int],
+        call_args: Callable[[int], Tuple[Any, ...]],
+        complete: Callable[[int, Any, int], None],
+        phase: str,
+        counters: _RunCounters,
+        bperf: Optional["BatchPerf"],
+    ) -> None:
+        """Supervised process-pool backend.
+
+        Each *pool pass* drives one ``ProcessPoolExecutor`` until every
+        remaining entry completes or the pool breaks (a worker died).  A
+        broken pool costs one respawn from the ``max_respawns`` budget;
+        the next pass re-dispatches exactly the entries that had not
+        completed (settled dependencies stay settled, so no completed
+        work is repeated), so supervised output is bit-identical to
+        serial.
+        """
+        for fn in {id(entries[p].fn): entries[p].fn for p in misses}.values():
+            self._require_picklable(fn)
+        remaining: Set[int] = set(misses)
+        dependents: Dict[int, List[int]] = {p: [] for p in misses}
+        for position in misses:
+            for dep in dict.fromkeys(entries[position].deps):
+                if dep in remaining:
+                    dependents[dep].append(position)
+        attempts: Dict[int, int] = {}
+        while remaining:
+            try:
+                self._pool_pass(entries, remaining, dependents, attempts,
+                                call_args, complete, phase, counters, bperf)
+            except BrokenExecutor:
+                counters.respawns += 1
+                if counters.respawns > self.max_respawns:
+                    raise EngineError(
+                        f"worker pool for {phase!r} died {counters.respawns} "
+                        f"times (max_respawns={self.max_respawns}); giving "
+                        f"up with {len(remaining)} tasks incomplete"
+                    )
+
+    def _pool_pass(
+        self,
+        entries: Sequence[_Entry],
+        remaining: Set[int],
+        dependents: Dict[int, List[int]],
+        attempts: Dict[int, int],
+        call_args: Callable[[int], Tuple[Any, ...]],
+        complete: Callable[[int, Any, int], None],
+        phase: str,
+        counters: _RunCounters,
+        bperf: Optional["BatchPerf"],
+    ) -> None:
+        max_workers = min(self.workers, len(remaining))
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            futures: Dict[Any, int] = {}
+
+            def ready(position: int) -> bool:
+                return not any(
+                    dep in remaining for dep in entries[position].deps
+                )
+
+            def submit(position: int) -> None:
+                self._check()
+                args = call_args(position)
+                self._time_serialization(bperf, entries[position].fn, args)
+                future = self._submit(pool, entries[position], position,
+                                      args, phase)
+                futures[future] = position
 
             try:
-                # On a respawn pass this re-collects exactly the tasks
+                # On a respawn pass this re-collects exactly the entries
                 # whose dependencies are settled but which are not.
-                ready = [name for name in order
-                         if name not in done and not waiting[name]]
-                while ready or futures:
-                    freed: List[str] = []
-                    for name in ready:
-                        freed.extend(dispatch(name))
-                    ready = freed
-                    if not ready and futures:
-                        self._check()
-                        if bperf is not None:
-                            bperf.sample_queue_depth(len(futures))
-                        finished, _ = wait(
-                            set(futures), return_when=FIRST_COMPLETED
-                        )
-                        for future in finished:
-                            name = futures.pop(future)
-                            try:
-                                value = future.result()
-                            except BrokenExecutor:
-                                raise  # dead worker: supervisor respawns
-                            except BaseException as exc:
-                                attempt = attempts.get(name, 1)
-                                if not self._should_retry(exc, attempt):
-                                    raise
-                                attempts[name] = attempt + 1
-                                counters.retries += 1
-                                self._retry_pause(attempt)
-                                submit(name)
-                                continue
-                            counters.executed += 1
-                            if instrument:
-                                value = self._unwrap_instrumented(value,
-                                                                  bperf)
-                            ready.extend(settle(name, value))
+                for position in sorted(remaining):
+                    if ready(position):
+                        submit(position)
+                while futures:
+                    self._check()
+                    if bperf is not None:
+                        bperf.sample_queue_depth(len(futures))
+                    finished, _ = wait(
+                        set(futures), return_when=FIRST_COMPLETED
+                    )
+                    for future in finished:
+                        position = futures.pop(future)
+                        try:
+                            value = future.result()
+                        except BrokenExecutor:
+                            raise  # dead worker: the supervisor respawns
+                        except BaseException as exc:
+                            attempt = attempts.get(position, 1)
+                            if not self._should_retry(exc, attempt):
+                                raise
+                            attempts[position] = attempt + 1
+                            counters.retries += 1
+                            self._retry_pause(attempt)
+                            submit(position)
+                            continue
+                        if self._instrument:
+                            value = self._unwrap_instrumented(value, bperf)
+                        remaining.discard(position)
+                        complete(position, value, attempts.get(position, 1))
+                        for dependent in dependents[position]:
+                            if ready(dependent):
+                                submit(dependent)
             except BaseException:
                 for future in futures:
                     future.cancel()
                 raise
-        if len(done) != len(order):  # pragma: no cover - defensive
-            missing = [name for name in order if name not in done]
-            raise EngineError(f"graph execution stalled; unfinished: {missing}")

@@ -67,6 +67,23 @@ def _keys(items):
     return [canonical_key("cube", x=float(x)) for x in items]
 
 
+def _cubes(engine, entry_point, items):
+    """Cube *items* through ``map`` or a flat ``run_graph``.
+
+    Returns ``(outputs in item order, result)``; graph task ``t{i}``
+    sits at position *i* of the topological order, so chaos plans index
+    both entry points alike.
+    """
+    if entry_point == "map":
+        result = engine.map(_cube, items)
+        return result.outputs, result
+    graph = TaskGraph()
+    for i, x in enumerate(items):
+        graph.add(f"t{i}", _cube, args=(x,))
+    result = engine.run_graph(graph)
+    return tuple(result[f"t{i}"] for i in range(len(items))), result
+
+
 class TestSerialMap:
     def test_outputs_follow_input_order(self):
         result = EvaluationEngine().map(_cube, [3.0, 1.0, 2.0])
@@ -110,6 +127,18 @@ class TestParallelMap:
         # One pending task never pays for a pool — closures still work.
         engine = EvaluationEngine(workers=4)
         assert engine.map(lambda x: -x, [5.0]).outputs == (-5.0,)
+
+        # The same rule holds for graphs: a cached task plus one miss
+        # runs the miss in the calling process.
+        engine = EvaluationEngine(workers=2)
+        key = canonical_key("cube", x=2.0)
+        engine.map(_cube, [2.0], keys=[key])
+        graph = TaskGraph()
+        graph.add("warm", _cube, args=(2.0,), key=key)
+        graph.add("only", lambda x: (-x, os.getpid()), deps=("warm",))
+        result = engine.run_graph(graph)
+        assert result["only"] == (-8.0, os.getpid())
+        assert result.executed == 1
 
 
 class TestCaching:
@@ -230,11 +259,17 @@ class TestSupervision:
     def test_worker_kill_recovers_bit_identically(self, tmp_path):
         items = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         reference = EvaluationEngine().map(_cube, items)
-        plan = ChaosPlan(state_dir=str(tmp_path / "state"), kill_tasks=(2,))
-        survived = EvaluationEngine(workers=2, chaos=plan).map(_cube, items)
-        assert survived.outputs == reference.outputs
-        assert survived.respawns == 1
-        assert plan.fired() == 1
+        for entry_point in ("map", "graph"):
+            plan = ChaosPlan(
+                state_dir=str(tmp_path / f"state-{entry_point}"),
+                kill_tasks=(2,),
+            )
+            outputs, survived = _cubes(
+                EvaluationEngine(workers=2, chaos=plan), entry_point, items
+            )
+            assert outputs == reference.outputs
+            assert survived.respawns == 1
+            assert plan.fired() == 1
 
     def test_poison_task_exhausts_the_respawn_budget(self):
         engine = EvaluationEngine(workers=2, max_respawns=2)
@@ -272,17 +307,21 @@ class TestTaskRetry:
     def test_transient_faults_retry_to_identical_outputs(self, tmp_path):
         items = [1.0, 2.0, 3.0, 4.0, 5.0]
         reference = EvaluationEngine().map(_cube, items)
-        for workers in (1, 2):
-            plan = plan_transient_faults(
-                len(items), seed=0, count=2,
-                state_dir=str(tmp_path / f"state-{workers}"),
-            )
-            result = EvaluationEngine(
-                workers=workers, chaos=plan, retry=TaskRetryPolicy()
-            ).map(_cube, items)
-            assert result.outputs == reference.outputs
-            assert result.retries == 2
-            assert plan.fired() == 2
+        for entry_point in ("map", "graph"):
+            for workers in (1, 2):
+                plan = plan_transient_faults(
+                    len(items), seed=0, count=2,
+                    state_dir=str(tmp_path / f"state-{entry_point}-{workers}"),
+                )
+                outputs, result = _cubes(
+                    EvaluationEngine(
+                        workers=workers, chaos=plan, retry=TaskRetryPolicy()
+                    ),
+                    entry_point, items,
+                )
+                assert outputs == reference.outputs
+                assert result.retries == 2
+                assert plan.fired() == 2
 
     def test_exhausted_retries_reraise_the_original_error(self, tmp_path):
         plan = ChaosPlan(

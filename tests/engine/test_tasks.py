@@ -146,6 +146,23 @@ class TestGraphEndToEnd:
         assert parallel.values["cell"] == serial.values["cell"]
         assert np.array_equal(parallel.values["pk"], serial.values["pk"])
 
+        # A dependent chain a -> b -> c beside an independent d: each
+        # link is released to the pool only once its dependency settles.
+        def chain():
+            graph = TaskGraph()
+            graph.add("c", _add, args=(0.5,), deps=("b",))
+            graph.add("a", _one)
+            graph.add("b", _double, deps=("a",))
+            graph.add("d", _double, args=(3.0,))
+            return graph
+
+        serial = EvaluationEngine(workers=1).run_graph(chain())
+        parallel = EvaluationEngine(workers=2).run_graph(chain())
+        assert parallel.values == serial.values == {
+            "a": 1.0, "b": 2.0, "c": 2.5, "d": 6.0,
+        }
+        assert parallel.executed == 4
+
 
 def _combine_cell(pi, pk):
     """Availability-style composition: P(up) * P(not blocked)."""
