@@ -27,7 +27,6 @@ from typing import Tuple, Type
 
 from .._validation import check_positive_int
 from ..errors import TransientTaskError, ValidationError
-from ..resilience.retry import backoff_delay
 
 __all__ = ["TaskRetryPolicy"]
 
@@ -103,6 +102,8 @@ class TaskRetryPolicy:
 
     def backoff_delay(self, retry_index: int) -> float:
         """Seconds to wait before retry number *retry_index* (0-based)."""
+        from ..resilience.retry import backoff_delay
+
         return backoff_delay(
             retry_index,
             base=self.backoff_base,

@@ -26,9 +26,6 @@ import warnings
 from typing import List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .._validation import check_finite_array
 from ..errors import NotIrreducibleError, SolverError, ValidationError
@@ -88,6 +85,9 @@ def strongly_connected_components(adjacency: np.ndarray) -> List[List[int]]:
     list of lists of state indices, one per component, in topological
     order of the component DAG (sources first).
     """
+    import scipy.sparse as sp
+    import scipy.sparse.csgraph as csgraph
+
     a = sp.csr_matrix(np.asarray(adjacency) != 0)
     n_comp, labels = csgraph.connected_components(a, directed=True, connection="strong")
     components: List[List[int]] = [[] for _ in range(n_comp)]
@@ -182,6 +182,9 @@ def steady_state_linear(generator: np.ndarray, sparse: bool = False) -> np.ndarr
     b[-1] = 1.0
     try:
         if sparse:
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+
             pi = spla.spsolve(sp.csc_matrix(a), b)
         else:
             pi = np.linalg.solve(a, b)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import CalibrationError, ValidationError
 from .graph import OperationalProfile
@@ -146,6 +145,8 @@ def calibrate_profile(
             total_variation_distance=dist.total_variation_distance(target),
             iterations=1,
         )
+
+    from scipy import optimize
 
     try:
         result = optimize.least_squares(

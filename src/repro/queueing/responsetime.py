@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import optimize, special
-
 from .._validation import check_non_negative, check_positive_int, check_rate
 from ..errors import SolverError, ValidationError
 from .mmck import MMCKQueue
@@ -55,6 +53,8 @@ def erlang_survival(stages: int, rate: float, t: float) -> float:
     t = check_non_negative(t, "t")
     if t == 0.0:
         return 1.0
+    from scipy import special
+
     return float(special.gammaincc(stages, rate * t))
 
 
@@ -244,4 +244,6 @@ def response_time_quantile(queue: MMCKQueue, probability: float) -> float:
         upper *= 2.0
     else:
         raise SolverError("failed to bracket the response-time quantile")
+    from scipy import optimize
+
     return float(optimize.brentq(objective, 0.0, upper, xtol=1e-12))

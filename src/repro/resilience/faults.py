@@ -38,6 +38,30 @@ __all__ = [
     "CompositeScenario",
 ]
 
+#: Most events one stochastic scenario compiles into a timeline.  The
+#: ``lan-host`` campaign reaches it near a 5e7 h horizon, where the
+#: end-to-end loop's default transition budget is exhausted anyway, so a
+#: longer timeline is an input error, not a workload.
+MAX_FAULT_EVENTS = 1_000_000
+
+
+def _check_timeline(
+    events: int, expected_episodes: float, horizon: float
+) -> None:
+    """Refuse a timeline that would outgrow :data:`MAX_FAULT_EVENTS`.
+
+    Called before each episode is added (two events per episode).  An
+    expected episode count above ``MAX_FAULT_EVENTS`` — twice the
+    episodes the cap admits — fails on the first episode: the realised
+    count cannot stay under the cap, and drawing towards it would take
+    seconds.
+    """
+    if events >= MAX_FAULT_EVENTS or expected_episodes > MAX_FAULT_EVENTS:
+        raise ValidationError(
+            f"horizon {horizon:g} compiles more than {MAX_FAULT_EVENTS:,} "
+            "fault events; use a shorter horizon"
+        )
+
 
 class FaultScenario:
     """Base class: anything that compiles to a ``FaultEvent`` timeline."""
@@ -131,9 +155,11 @@ class RecurrentOutage(FaultScenario):
         check_positive(self.mean_duration, "mean_duration")
 
     def compile(self, model, horizon, rng) -> List[FaultEvent]:
+        expected = self.episode_rate * horizon
         events: List[FaultEvent] = []
         clock = rng.exponential(1.0 / self.episode_rate)
         while clock < horizon:
+            _check_timeline(len(events), expected, horizon)
             duration = rng.exponential(self.mean_duration)
             events.append(FaultEvent(time=clock, force_down=self.resources))
             events.append(
@@ -205,9 +231,11 @@ class RecurrentDegradation(FaultScenario):
         check_positive(self.mean_duration, "mean_duration")
 
     def compile(self, model, horizon, rng) -> List[FaultEvent]:
+        expected = horizon / (1.0 / self.episode_rate + self.mean_duration)
         events: List[FaultEvent] = []
         clock = rng.exponential(1.0 / self.episode_rate)
         while clock < horizon:
+            _check_timeline(len(events), expected, horizon)
             duration = rng.exponential(self.mean_duration)
             events.append(
                 FaultEvent(

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.markov import CTMC, birth_death_chain
-from repro.markov.solvers import steady_state_gth, steady_state_linear
+from repro.markov.solvers import (
+    steady_state_gth,
+    steady_state_linear,
+    strongly_connected_components,
+)
 
 rates = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
@@ -100,3 +104,28 @@ class TestTransientInvariants:
         result = uniformization(q, p0, t)
         assert np.all(result >= -1e-12)
         assert result.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def digraphs(draw, max_nodes=8):
+    """Random 0/1 adjacency matrices of 1 to *max_nodes* nodes."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.array(cells, dtype=float).reshape(n, n)
+
+
+class TestComponentOrder:
+    @given(digraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_components_partition_in_topological_order(self, adjacency):
+        n = adjacency.shape[0]
+        components = strongly_connected_components(adjacency)
+        members = [state for component in components for state in component]
+        assert sorted(members) == list(range(n))
+        position = {
+            state: index
+            for index, component in enumerate(components)
+            for state in component
+        }
+        for i, j in zip(*np.nonzero(adjacency)):
+            assert position[i] <= position[j]

@@ -12,6 +12,7 @@ from repro.resilience import (
     ScheduledOutage,
     ServiceDegradation,
 )
+from repro.resilience import faults
 from repro.ta import TravelAgencyModel
 
 MODEL = TravelAgencyModel().hierarchical_model
@@ -114,6 +115,46 @@ class TestRecurrentDegradation:
         factors = [event.service_factors["web"] for event in events]
         assert factors[0::2] == [0.5] * len(factors[0::2])
         assert factors[1::2] == [1.0] * len(factors[1::2])
+
+
+RECURRENT = [
+    RecurrentOutage(
+        frozenset({"lan-segment"}), episode_rate=1.0, mean_duration=0.1
+    ),
+    RecurrentDegradation("web", factor=0.5, episode_rate=1.0,
+                         mean_duration=0.1),
+]
+
+
+class TestTimelineCap:
+    @pytest.mark.parametrize("scenario", RECURRENT, ids=lambda s: s.name)
+    @pytest.mark.parametrize("horizon", [1e300, float("inf")])
+    def test_absurd_horizon_is_refused_on_the_first_episode(
+        self, scenario, horizon
+    ):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValidationError) as info:
+            scenario.compile(MODEL, horizon, rng)
+        message = str(info.value)
+        assert f"horizon {horizon:g}" in message
+        assert "1,000,000 fault events" in message
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("scenario", RECURRENT, ids=lambda s: s.name)
+    def test_realised_timeline_stops_at_the_cap(self, scenario, monkeypatch):
+        # About 10 expected episodes do not trip the up-front test
+        # against a cap of 10 events; the realised timeline (about 20
+        # events) trips the running count.
+        monkeypatch.setattr(faults, "MAX_FAULT_EVENTS", 10)
+        with pytest.raises(ValidationError, match="more than 10 fault"):
+            scenario.compile(MODEL, 10.0, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("scenario", RECURRENT, ids=lambda s: s.name)
+    def test_timeline_at_the_cap_compiles(self, scenario, monkeypatch):
+        events = scenario.compile(MODEL, 10.0, np.random.default_rng(1))
+        monkeypatch.setattr(faults, "MAX_FAULT_EVENTS", len(events))
+        again = scenario.compile(MODEL, 10.0, np.random.default_rng(1))
+        assert again == events
 
 
 class TestComposition:

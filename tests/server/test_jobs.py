@@ -8,7 +8,7 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.runtime import read_journal
 from repro.server import JobManager, TERMINAL_STATUSES
-from repro.server.work import execute_job
+from repro.server.work import execute_job, parse_spec
 
 
 async def wait_until(predicate, timeout=10.0, message="condition"):
@@ -284,6 +284,26 @@ class TestRejectionAndMetrics:
         assert registry.value(
             "server_jobs", kind="probe", status="cancelled"
         ) == 1.0
+
+    def test_campaign_past_the_fault_event_cap_fails(self):
+        # parse_spec accepts any finite positive horizon; compiling the
+        # timeline refuses one this long instead of holding a job slot.
+        async def scenario():
+            manager = make_manager()
+            await manager.start()
+            try:
+                job = manager.submit("campaign", parse_spec("campaign", {
+                    "scenario": "lan-host", "horizon": 1e300,
+                    "replications": 2,
+                }))
+                await wait_until(lambda: job.status in TERMINAL_STATUSES)
+                assert job.status == "failed"
+                assert "horizon 1e+300" in job.error
+                assert "1,000,000 fault events" in job.error
+            finally:
+                await manager.stop()
+
+        run(scenario())
 
     def test_failed_job_resolves_failed_with_error(self):
         async def scenario():

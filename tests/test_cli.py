@@ -168,6 +168,20 @@ class TestInjectCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_horizon_past_the_fault_event_cap_is_a_one_line_error(
+        self, capsys
+    ):
+        # This horizon used to spin in timeline compilation forever.
+        assert main([
+            "inject", "--scenario", "lan-host", "--horizon", "1e300",
+            "--replications", "2", "--workers", "1",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: horizon 1e+300 ")
+        assert "1,000,000 fault events" in captured.err
+
     def test_workers_do_not_change_the_report(self, capsys):
         args = [
             "inject", "--scenario", "null", "--user-class", "A",
